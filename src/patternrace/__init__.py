@@ -24,8 +24,6 @@ from .solver import (
     DegenerateCollectionError,
     RaceSolution,
     SeriesTable,
-    build_system,
-    det_rf,
     series,
     single_Q,
     single_expected,
@@ -60,10 +58,8 @@ __all__ = [
     "SeriesTable",
     "absorbing_solve",
     "build_automaton",
-    "build_system",
     "correlation",
     "correlation_matrix",
-    "det_rf",
     "exact_distribution",
     "initial_correlation_vector",
     "is_subpattern",

@@ -157,7 +157,7 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (plain int lists) used by the fraction-free
-# determinant path; exact division is guaranteed by the Bareiss scheme.
+# race solve; exact division is guaranteed by the Bareiss scheme.
 
 def ipoly_trim(a: list) -> list:
     while a and a[-1] == 0:

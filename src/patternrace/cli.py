@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 2 validation or usage
-error, 3 parse error, 4 solver/oracle disagreement, 5 martingale bound
-violation.
+error or a degenerate race system, 3 parse error, 4 solver/oracle
+disagreement, 5 martingale bound violation.
 """
 
 from __future__ import annotations
@@ -74,25 +74,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_race(args) -> int:
+    if args.series is not None and args.series < 0:
+        raise UsageError("--series horizon must be >= 0")
+    if args.digits is not None and args.digits < 1:
+        raise UsageError("--digits must be >= 1")
     problem = _load_validated(args.input)
     if problem is None:
         return EXIT_VALIDATION
     sol = solver_mod.solve_race(problem)
     table = None
     if args.series is not None:
-        if args.series < 0:
-            raise UsageError("--series horizon must be >= 0")
         table = solver_mod.series(problem, args.series, sol)
     out = solution_to_obj(problem, sol, digits=args.digits,
                           series_table=table, digest=input_digest(args.input))
     if args.alpha is not None:
         alpha = parse_rational_str(args.alpha)
-        out["at_alpha"] = {
-            "alpha": rational_str(alpha),
-            "g_total": rational_str(sol.g_total(alpha)),
-            "q_tau": rational_str(sol.q_tau(alpha)),
-            "g_per_pattern": [rational_str(g(alpha)) for g in sol.g_per_pattern],
-        }
+        try:
+            out["at_alpha"] = {
+                "alpha": rational_str(alpha),
+                "g_total": rational_str(sol.g_total(alpha)),
+                "q_tau": rational_str(sol.q_tau(alpha)),
+                "g_per_pattern": [rational_str(g(alpha)) for g in sol.g_per_pattern],
+            }
+        except ZeroDivisionError as e:
+            raise UsageError(f"--alpha {args.alpha} is a pole: {e}") from None
     mismatch = False
     if args.oracle:
         wins, expected = oracle_mod.absorbing_solve(problem)
@@ -187,6 +192,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _json_float(x: float):
+    """JSON has no NaN or infinity; such a statistic is emitted as null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_martingale(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
@@ -207,9 +217,9 @@ def cmd_martingale(args) -> int:
         "reps": report.reps,
         "seed": report.seed,
         "y0_exact": rational_str(report.y0),
-        "empirical_mean": report.empirical_mean,
-        "std_error": report.std_error,
-        "z_score": report.z_score,
+        "empirical_mean": _json_float(report.empirical_mean),
+        "std_error": _json_float(report.std_error),
+        "z_score": _json_float(report.z_score),
         "bound": rational_str(report.bound),
         "violations": [list(v) for v in report.violations],
         "truncated": report.truncated,
@@ -277,6 +287,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except solver_mod.DegenerateCollectionError as e:
+        print(f"degenerate collection: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-# Soft caps; beyond these the determinant cost over the rational-function
-# field grows steeply.  Overridable via validate_race arguments.
+# Soft caps; the cost of the exact race solve grows with the number and
+# length of the patterns.  Overridable via validate_race arguments.
 MAX_PATTERN_LEN = 64
 MAX_PATTERNS = 16
 

@@ -47,9 +47,15 @@ def default_digits() -> int:
 
 
 def rational_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        # Past sys.get_int_max_str_digits(); Decimal conversion is exact
+        # and not subject to that limit.
+        num, den = (str(decimal.Decimal(v)) for v in (x.numerator, x.denominator))
+        return num if x.denominator == 1 else f"{num}/{den}"
 
 
 def parse_rational_str(text: Union[str, int]) -> Fraction:
@@ -88,6 +94,9 @@ def problem_from_obj(obj) -> RaceProblem:
         raise ParseError("problem file must be a JSON object")
     if "alphabet" not in obj or "patterns" not in obj:
         raise ParseError("problem file needs 'alphabet' and 'patterns'")
+    for key in ("alphabet", "patterns"):
+        if not isinstance(obj[key], list):
+            raise ParseError(f"'{key}' must be a JSON list")
     entries = []
     for item in obj["alphabet"]:
         if not isinstance(item, dict) or "symbol" not in item or "prob" not in item:

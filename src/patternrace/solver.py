@@ -1,8 +1,9 @@
 """Closed-form race engine.
 
 Single-pattern generating functions from the optional-stopping argument,
-the competing-pattern linear system, Cramer-rule determinant solutions,
-and exact power-series extraction of waiting-time distributions.
+the competing-pattern linear system solved exactly by one fraction-free
+elimination over Z[alpha], and exact power-series extraction of
+waiting-time distributions.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .algebra import (
     ipoly_exact_div,
     ipoly_mul,
     ipoly_sub,
-    poly_shift,
 )
-from .correlation import correlation, correlation_matrix, initial_correlation_vector
+from .correlation import correlation
 from .model import (
     Alphabet,
     Pattern,
@@ -29,13 +29,10 @@ from .model import (
     Violation,
     ValidationReport,
     InvalidRaceError,
-    is_subpattern,
-    pattern_prob,
     require_valid,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SolverError(RuntimeError):
@@ -43,7 +40,7 @@ class SolverError(RuntimeError):
 
 
 class DegenerateCollectionError(SolverError):
-    """The denominator sum of unit-column determinants vanishes at alpha=1."""
+    """The race system is singular, or its determinant vanishes at alpha=1."""
 
 
 class ZeroConstantDenominatorError(SolverError):
@@ -97,165 +94,7 @@ def single_expected(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# determinants
-
-def det_rf(matrix: Sequence[Sequence[RationalFunc]]) -> RationalFunc:
-    """Determinant over the rational-function field.
-
-    Fraction-field Gaussian elimination; the pivot in each column is the
-    nonzero candidate of minimal total polynomial degree.
-    """
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    sign = 1
-    pivots = []
-    for col in range(n):
-        best_row = None
-        best = None
-        for r in range(col, n):
-            e = a[r][col]
-            if not e.is_zero():
-                w = len(e.num) + len(e.den)
-                if best is None or w < best:
-                    best, best_row = w, r
-        if best_row is None:
-            return RationalFunc.zero()
-        if best_row != col:
-            a[col], a[best_row] = a[best_row], a[col]
-            sign = -sign
-        piv = a[col][col]
-        pivots.append(piv)
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] / piv
-                for c in range(col + 1, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
-    det = RationalFunc.const(sign)
-    for p in pivots:
-        det = det * p
-    return det
-
-
-def fraction_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (plain Gaussian elimination)."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    det = _ONE
-    for col in range(n):
-        piv_row = next((r for r in range(col, n) if a[r][col]), None)
-        if piv_row is None:
-            return _ZERO
-        if piv_row != col:
-            a[col], a[piv_row] = a[piv_row], a[col]
-            det = -det
-        piv = a[col][col]
-        det *= piv
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / piv
-                for c in range(col + 1, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
-def det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> RationalFunc:
-    """Determinant of a Laurent-polynomial matrix as a RationalFunc.
-
-    Each row is cleared to integer polynomial coefficients (multiply by
-    alpha**depth and the lcm of coefficient denominators), the integer
-    determinant is taken fraction-free (Bareiss), and the scaling is
-    divided back out.  Equivalent to det_rf on the converted matrix but
-    much faster; the equivalence is property-tested.
-    """
-    n = len(rows)
-    scale = _ONE
-    shift = 0
-    imat: List[List[List[int]]] = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        exps = [e for lp in row for e in lp.terms]
-        d = max(0, -min(exps)) if exps else 0
-        denoms = [c.denominator for lp in row for c in lp.terms.values()]
-        l = lcm(*denoms) if denoms else 1
-        irow = []
-        for lp in row:
-            if lp.terms:
-                width = max(lp.terms) + d + 1
-                coeffs = [0] * width
-                for e, c in lp.terms.items():
-                    v = c * l
-                    coeffs[e + d] = int(v)
-                irow.append(coeffs)
-            else:
-                irow.append([])
-        imat.append(irow)
-        scale *= l
-        shift += d
-    det = _bareiss(imat)
-    if not det:
-        return RationalFunc.zero()
-    return RationalFunc(tuple(Fraction(c) for c in det),
-                        poly_shift((scale,), shift))
-
-
-def _bareiss(mat: List[List[List[int]]]) -> List[int]:
-    n = len(mat)
-    a = [[list(e) for e in row] for row in mat]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ipoly_sub(ipoly_mul(a[k][k], a[i][j]),
-                                ipoly_mul(a[i][k], a[k][j]))
-                a[i][j] = ipoly_exact_div(num, prev)
-            a[i][k] = []
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return [-c for c in d] if sign < 0 else d
-
-
-def replace_column(rows: Sequence[Sequence], j: int, column: Sequence) -> list:
-    return [
-        [column[i] if c == j else row[c] for c in range(len(row))]
-        for i, row in enumerate(rows)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # competing patterns
-
-def build_system(problem: RaceProblem):
-    """Coefficient matrix and right-hand side of the race linear system.
-
-    Unknown vector is (Q, g_1, ..., g_m).  First row (1-alpha, 1, ..., 1)
-    with RHS 1; row i below has -1, the correlation row of B_i, and RHS
-    the initial-pattern correlation against B_i.
-    """
-    require_valid(problem)
-    corr = correlation_matrix(problem)
-    v = initial_correlation_vector(problem)
-    m = problem.num_patterns
-    one = RationalFunc.one()
-    matrix = [[RationalFunc((1, -1))] + [one] * m]
-    for i in range(m):
-        matrix.append([RationalFunc.const(-1)] +
-                      [corr.entry(i, j).to_rational_func() for j in range(m)])
-    rhs = [one] + [v[i].to_rational_func() for i in range(m)]
-    return matrix, rhs
-
 
 @dataclass(frozen=True)
 class RaceSolution:
@@ -266,89 +105,117 @@ class RaceSolution:
     g_per_pattern: tuple
     win_probs: tuple
     expected_tau: Fraction
-    # alpha=1 intermediates: per-pattern sums of unit-column determinants
-    # and their common denominator sum.
+    # alpha=1 intermediates: win_numerators[k] = det A_k(1), the system
+    # determinant with the column of g_k replaced by the right-hand side,
+    # and win_denominator = det A(1).
     win_numerators: tuple
     win_denominator: Fraction
 
 
+def _clear_row(row: Sequence[LaurentPoly]):
+    """Scale a Laurent row by alpha**d and the lcm l of its coefficient
+    denominators, so that every entry is an integer polynomial (an int
+    list, ascending exponents).  Returns the integer row and l."""
+    d = max([0] + [-e for lp in row for e in lp.terms])
+    l = lcm(*(c.denominator for lp in row for c in lp.terms.values()))
+    irow = []
+    for lp in row:
+        coeffs = [0] * (max(lp.terms) + d + 1 if lp.terms else 0)
+        for e, c in lp.terms.items():
+            coeffs[e + d] = int(c * l)
+        irow.append(coeffs)
+    return irow, l
+
+
+def fraction_free_solve(a: List[list]):
+    """Solve an n x (n+1) augmented system over Z[alpha], in place.
+
+    Entries are integer polynomials (int lists, ascending exponents).
+    Returns (det, y) with det = det A and y_i = det * x_i, the Cramer
+    numerators, all exact; det is [] and y None when A is singular.
+    Bareiss elimination (Bareiss 1968): after step k every a[i][j]
+    (i, j > k) is a (k+2)-minor, so dividing by the previous pivot is
+    exact; back-substitution keeps y in Z[alpha] the same way.
+    """
+    n = len(a)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return [], None
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = ipoly_exact_div(
+                    ipoly_sub(ipoly_mul(pivot, row[j]), ipoly_mul(f, pivot_row[j])),
+                    prev)
+            row[k] = []
+        prev = pivot
+    det = a[n - 1][n - 1]
+    if not det:
+        return [], None
+    y: List[list] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        acc = ipoly_mul(det, a[i][n])
+        for j in range(i + 1, n):
+            acc = ipoly_sub(acc, ipoly_mul(a[i][j], y[j]))
+        y[i] = ipoly_exact_div(acc, a[i][i])
+    if sign < 0:
+        # The last pivot is the determinant of the row-swapped matrix.
+        det = [-c for c in det]
+        y = [[-c for c in yi] for yi in y]
+    return det, y
+
+
 def solve_race(problem: RaceProblem) -> RaceSolution:
+    """Solve the race system A x = rhs for x = (Q, g_1, ..., g_m).
+
+    Row 0 of [A | rhs] is (1 - alpha, 1, ..., 1 | 1); row i is
+    (-1, B_i1, ..., B_im | v_i), with B_ij the correlation of B_j against
+    B_i and v_i that of the initial word against B_i.  Each row is cleared
+    to Z[alpha], then one fraction-free elimination of the augmented
+    matrix yields det A and every Cramer numerator y_i = det A * x_i.  The
+    alpha = 1 values come from the same polynomials evaluated at 1.
+    """
     require_valid(problem)
-    corr = correlation_matrix(problem)
-    v = initial_correlation_vector(problem)
-    m = problem.num_patterns
-    rows = [list(r) for r in corr.entries]
-    ones_col = [LaurentPoly.one()] * m
-    has_initial = any(not lp.is_zero() for lp in v)
+    alphabet, pats = problem.alphabet, problem.patterns
+    a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
+    scale = 1
+    minus_one = LaurentPoly.term(0, -1)
+    for bi in pats:
+        row = ([minus_one] + [correlation(bj, bi, alphabet) for bj in pats]
+               + [correlation(problem.initial, bi, alphabet)])
+        irow, l = _clear_row(row)
+        a.append(irow)
+        scale *= l
 
-    det_b = det_laurent(rows)
-    det_b_ones = [det_laurent(replace_column(rows, j, ones_col)) for j in range(m)]
-
-    if has_initial:
-        det_bk = []
-        g_numerators = []
-        for k in range(m):
-            bk_rows = replace_column(rows, k, v)
-            dbk = det_laurent(bk_rows)
-            det_bk.append(dbk)
-            acc = ONE_MINUS_ALPHA.to_rational_func() * dbk
-            for j in range(m):
-                if j == k:
-                    acc = acc + det_b_ones[k]
-                else:
-                    acc = acc + det_laurent(replace_column(bk_rows, j, ones_col))
-            g_numerators.append(acc)
-        q_numerator = det_b
-        for dbk in det_bk:
-            q_numerator = q_numerator - dbk
-    else:
-        det_bk = [RationalFunc.zero()] * m
-        g_numerators = list(det_b_ones)
-        q_numerator = det_b
-
-    denom = ONE_MINUS_ALPHA.to_rational_func() * det_b
-    for d in det_b_ones:
-        denom = denom + d
-    if denom.is_zero():
+    det, y = fraction_free_solve(a)
+    if not det:
         raise DegenerateCollectionError("system denominator is identically zero")
 
-    q_tau = q_numerator / denom
-    g_per = tuple(g / denom for g in g_numerators)
-    g_total = RationalFunc.zero()
-    for g in g_per:
-        g_total = g_total + g
-
-    # alpha = 1 path: plain rational determinants, no limits.
-    grid1 = corr.at(1)
-    v1 = [lp(1) for lp in v]
-    ones1 = [_ONE] * m
-    s = sum(fraction_det(replace_column(grid1, j, ones1)) for j in range(m))
-    if s == 0:
+    det1 = sum(det)
+    if det1 == 0:
         raise DegenerateCollectionError(
             "sum of unit-column determinants vanishes at alpha = 1")
-    det_b1 = fraction_det(grid1)
-    if has_initial:
-        win_nums = []
-        det_bk1 = []
-        for k in range(m):
-            bk1 = replace_column(grid1, k, v1)
-            det_bk1.append(fraction_det(bk1))
-            win_nums.append(sum(
-                fraction_det(replace_column(bk1, j, ones1)) for j in range(m)))
-        expected = (det_b1 - sum(det_bk1)) / s
-    else:
-        win_nums = [fraction_det(replace_column(grid1, j, ones1)) for j in range(m)]
-        expected = det_b1 / s
-    win_probs = tuple(w / s for w in win_nums)
-
+    g_nums = y[1:]
+    total = [sum(g[e] for g in g_nums if e < len(g))
+             for e in range(max(map(len, g_nums)))]
+    # The row scaling cancels in every ratio; only the raw alpha = 1
+    # determinants need it divided back out.
     return RaceSolution(
-        q_tau=q_tau,
-        g_total=g_total,
-        g_per_pattern=g_per,
-        win_probs=win_probs,
-        expected_tau=expected,
-        win_numerators=tuple(win_nums),
-        win_denominator=s,
+        q_tau=RationalFunc(y[0], det),
+        g_total=RationalFunc(total, det),
+        g_per_pattern=tuple(RationalFunc(g, det) for g in g_nums),
+        win_probs=tuple(Fraction(sum(g), det1) for g in g_nums),
+        expected_tau=Fraction(sum(y[0]), det1),
+        win_numerators=tuple(Fraction(sum(g), scale) for g in g_nums),
+        win_denominator=Fraction(det1, scale),
     )
 
 

@@ -33,21 +33,23 @@ def random_alphabet(rng: random.Random) -> Alphabet:
     return Alphabet(symbols, tuple(Fraction(w, total) for w in weights))
 
 
-def random_problem(rng: random.Random, with_initial=None) -> RaceProblem:
-    """A random validated race problem (rejection sampling)."""
+def random_problem(rng: random.Random, with_initial=None, m=None) -> RaceProblem:
+    """A random validated race problem (rejection sampling).
+
+    m asks for that many patterns; by default 1 to 4 are drawn."""
     while True:
         alphabet = random_alphabet(rng)
-        m = rng.randint(1, 4)
+        count = rng.randint(1, 4) if m is None else m
         pats = []
         tries = 0
-        while len(pats) < m and tries < 60:
+        while len(pats) < count and tries < 60:
             tries += 1
             length = rng.randint(1, 6)
             cand = Pattern(tuple(rng.randrange(alphabet.size) for _ in range(length)))
             if all(not is_subpattern(cand, p) and not is_subpattern(p, cand)
                    for p in pats):
                 pats.append(cand)
-        if not pats:
+        if len(pats) < (m or 1):
             continue
         use_initial = rng.random() < 0.6 if with_initial is None else with_initial
         initial = None

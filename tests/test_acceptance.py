@@ -21,17 +21,10 @@ from patternrace.oracle import (
     monte_carlo,
 )
 from patternrace.serialize import parse_rational_str, rf_from_obj
-from patternrace.solver import (
-    build_system,
-    det_rf,
-    fraction_det,
-    replace_column,
-    series,
-    single_expected,
-    solve_race,
-)
+from patternrace.solver import series, single_expected, solve_race
 
 from conftest import random_problem
+from cramer_reference import build_system, det_rf, fraction_det, replace_column
 from test_solver import _b_variants, solve_linear_rf
 
 

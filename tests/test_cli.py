@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from patternrace import cli
+from patternrace import solver as solver_mod
 from patternrace.cli import main
+from patternrace.model import ValidationReport
 from patternrace.serialize import (
     parse_problem,
     parse_rational_str,
+    rational_str,
     rf_from_obj,
     rf_to_obj,
     ParseError,
@@ -186,3 +190,54 @@ def test_parse_problem_token_lists():
     # string shorthand requires single-character symbols
     with pytest.raises(ParseError):
         parse_problem(json.dumps(dict(obj, patterns=["th"])))
+
+
+def _strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity extensions."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_race_alpha_at_pole(tmp_path, capsys):
+    path = write_problem(tmp_path, dict(THREE_WAY, initial="H"))
+    assert main(["race", path, "--alpha", "2"]) == 2
+    assert "pole" in capsys.readouterr().err
+
+
+def test_race_negative_digits(problem_file, capsys):
+    assert main(["race", problem_file, "--digits", "-3"]) == 2
+    assert "--digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("alphabet", 5), ("patterns", "HT")])
+def test_parse_error_non_list_fields(tmp_path, capsys, key, value):
+    path = write_problem(tmp_path, dict(THREE_WAY, **{key: value}))
+    assert main(["race", path]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_martingale_no_completed_replicate_is_json(problem_file, capsys):
+    assert main(["martingale", problem_file, "--alpha", "1/2", "--reps", "3",
+                 "--max-steps", "1"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["truncated"] == 3
+    assert out["empirical_mean"] is None
+    assert out["std_error"] is None
+
+
+def test_race_degenerate_collection(tmp_path, capsys, monkeypatch):
+    # A repeated pattern gives a singular system; validation would reject
+    # it first, so it is bypassed to reach the solver's own guard.
+    monkeypatch.setattr(cli, "validate_race", lambda problem: ValidationReport())
+    monkeypatch.setattr(solver_mod, "require_valid", lambda problem: None)
+    path = write_problem(tmp_path, dict(THREE_WAY, patterns=["HH", "HH"]))
+    assert main(["race", path]) == 2
+    assert "degenerate" in capsys.readouterr().err
+
+
+def test_rational_str_past_int_str_digit_limit():
+    n = 10 ** 5000 - 3  # 5000 digits: 9...97
+    digits = "9" * 4999 + "7"
+    assert rational_str(Fraction(n)) == digits
+    assert rational_str(Fraction(-n, 2)) == f"-{digits}/2"

@@ -1,19 +1,17 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from patternrace.algebra import ONE_MINUS_ALPHA, LaurentPoly, RationalFunc
+from patternrace.algebra import ONE_MINUS_ALPHA, LaurentPoly, RationalFunc, ipoly_trim
 from patternrace.correlation import correlation_matrix, initial_correlation_vector
 from patternrace.model import InvalidRaceError, RaceProblem
+from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
     DegenerateCollectionError,
-    build_system,
-    det_laurent,
-    det_rf,
-    fraction_det,
+    fraction_free_solve,
     power_series,
-    replace_column,
     series,
     single_Q,
     single_expected,
@@ -21,7 +19,16 @@ from patternrace.solver import (
     solve_race,
 )
 
+import cramer_reference
 from conftest import random_problem
+from cramer_reference import (
+    build_system,
+    cramer_solve,
+    det_laurent,
+    det_rf,
+    fraction_det,
+    replace_column,
+)
 
 ONE = RationalFunc.one()
 
@@ -330,6 +337,69 @@ def test_solution_invariants_random():
         assert sum(sol.win_probs) == 1
         assert all(p >= 0 for p in sol.win_probs)
         assert sol.expected_tau == sol.q_tau(1)
+
+
+def test_fraction_free_solve_matches_cofactor_random():
+    # Sparse random systems: zero pivots force row swaps, and some are
+    # singular.
+    rng = random.Random(71)
+    swapped = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+              if rng.random() < 0.6 else [] for _ in range(n + 1)] for _ in range(n)]
+        rf = [[RationalFunc(tuple(e)) for e in row] for row in a]
+        matrix, rhs = [row[:n] for row in rf], [row[n] for row in rf]
+        leading_zero = not a[0][0]
+        det, y = fraction_free_solve(a)
+        expected = cofactor_det(matrix)
+        if expected.is_zero():
+            assert (det, y) == ([], None)
+            continue
+        swapped += leading_zero
+        assert RationalFunc(tuple(det)) == expected
+        for i in range(n):
+            assert RationalFunc(tuple(y[i])) == \
+                cofactor_det(replace_column(matrix, i, rhs))
+    assert swapped
+
+
+def _assert_matches_cramer(problem):
+    fast = solve_race(problem)
+    ref = cramer_solve(problem)
+    assert fast == ref
+    assert solution_to_obj(problem, fast) == solution_to_obj(problem, ref)
+
+
+def test_solve_race_equals_cramer_reference():
+    rng = random.Random(61)
+    for m in range(1, 7):
+        for with_initial in (False, True):
+            for _ in range(3):
+                _assert_matches_cramer(
+                    random_problem(rng, with_initial=with_initial, m=m))
+
+
+def test_solve_race_equals_cramer_initial_ending_with_pattern(fair_coin, three_way):
+    for init in ("THH", "HTH", "HHT", "TTHH", "TTHTH"):
+        _assert_matches_cramer(RaceProblem(alphabet=fair_coin,
+                                           patterns=three_way.patterns,
+                                           initial=fair_coin.pattern(init)))
+
+
+def test_degenerate_collection_raises_on_both_paths(fair_coin, monkeypatch):
+    # A repeated pattern makes two rows of the system equal.  Validation
+    # rejects it, so it is bypassed to reach the solvers' own guard.
+    for mod in (importlib.import_module("patternrace.solver"),
+                importlib.import_module("patternrace.correlation"),
+                cramer_reference):
+        monkeypatch.setattr(mod, "require_valid", lambda problem: None)
+    hh = fair_coin.pattern("HH")
+    for initial in (None, fair_coin.pattern("TH")):
+        prob = RaceProblem(alphabet=fair_coin, patterns=(hh, hh), initial=initial)
+        for solve in (solve_race, cramer_solve):
+            with pytest.raises(DegenerateCollectionError):
+                solve(prob)
 
 
 # ---------------------------------------------------------------------------

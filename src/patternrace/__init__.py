@@ -31,7 +31,6 @@ from .solver import (
     solve_race,
 )
 from .oracle import (
-    DistributionTable,
     MartingaleReport,
     MonteCarloReport,
     PrefixAutomaton,
@@ -46,7 +45,6 @@ __all__ = [
     "Alphabet",
     "CorrMatrix",
     "DegenerateCollectionError",
-    "DistributionTable",
     "LaurentPoly",
     "MartingaleReport",
     "MonteCarloReport",

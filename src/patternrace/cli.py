@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
-from .model import validate_race
+from .model import InvalidRaceError, require_valid, validate_race
 from .serialize import (
     ParseError,
     decimal_str,
@@ -45,24 +45,7 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_validated(path: str):
-    problem = load_problem(path)
-    report = validate_race(problem)
-    if not report.ok:
-        _emit({
-            "valid": False,
-            "violations": [
-                {"code": v.code, "message": v.message, "indices": list(v.indices)}
-                for v in report.violations
-            ],
-        })
-        return None
-    return problem
-
-
-def cmd_validate(args) -> int:
-    problem = load_problem(args.input)
-    report = validate_race(problem)
+def _emit_report(report) -> int:
     _emit({
         "valid": report.ok,
         "violations": [
@@ -73,14 +56,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
+def cmd_validate(args) -> int:
+    return _emit_report(validate_race(load_problem(args.input)))
+
+
 def cmd_race(args) -> int:
     if args.series is not None and args.series < 0:
         raise UsageError("--series horizon must be >= 0")
     if args.digits is not None and args.digits < 1:
         raise UsageError("--digits must be >= 1")
-    problem = _load_validated(args.input)
-    if problem is None:
-        return EXIT_VALIDATION
+    problem = load_problem(args.input)
     sol = solver_mod.solve_race(problem)
     table = None
     if args.series is not None:
@@ -100,7 +85,8 @@ def cmd_race(args) -> int:
             raise UsageError(f"--alpha {args.alpha} is a pole: {e}") from None
     mismatch = False
     if args.oracle:
-        wins, expected = oracle_mod.absorbing_solve(problem)
+        auto = oracle_mod.build_automaton(problem)
+        wins, expected = oracle_mod.absorbing_solve(auto)
         agree = (wins == sol.win_probs and expected == sol.expected_tau)
         oracle_out = {
             "win_probs": [rational_str(p) for p in wins],
@@ -108,7 +94,7 @@ def cmd_race(args) -> int:
             "agree": agree,
         }
         if table is not None:
-            dp = oracle_mod.exact_distribution(problem, table.horizon)
+            dp = oracle_mod.exact_distribution(auto, table.horizon)
             series_agree = (dp.per_pattern == table.per_pattern
                             and dp.tail_mass == table.tail_mass)
             oracle_out["series_agree"] = series_agree
@@ -160,12 +146,11 @@ def cmd_correlate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
-    problem = _load_validated(args.input)
-    if problem is None:
-        return EXIT_VALIDATION
-    report = oracle_mod.monte_carlo(problem, args.reps, seed=args.seed,
+    problem = load_problem(args.input)
+    auto = oracle_mod.build_automaton(problem)
+    report = oracle_mod.monte_carlo(auto, args.reps, seed=args.seed,
                                     max_steps=args.max_steps)
-    wins, expected = oracle_mod.absorbing_solve(problem)
+    wins, expected = oracle_mod.absorbing_solve(auto)
     patterns = [problem.alphabet.format_pattern(p) for p in problem.patterns]
     rows = []
     for name, count, freq, exact in zip(patterns, report.win_counts,
@@ -203,9 +188,9 @@ def cmd_martingale(args) -> int:
     alpha = parse_rational_str(args.alpha)
     if not 0 < alpha < 1:
         raise UsageError("--alpha must lie strictly inside (0, 1)")
-    problem = _load_validated(args.input)
-    if problem is None:
-        return EXIT_VALIDATION
+    problem = load_problem(args.input)
+    # martingale_check sees one pattern only; the whole race is checked here.
+    require_valid(problem)
     if not 0 <= args.pattern_index < problem.num_patterns:
         raise UsageError(f"--pattern-index out of range 0..{problem.num_patterns - 1}")
     b = problem.patterns[args.pattern_index]
@@ -285,6 +270,8 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except InvalidRaceError as e:
+        return _emit_report(e.report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,15 @@ class InvalidRaceError(ValueError):
         self.report = report
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # Past sys.get_int_max_str_digits(); Decimal parsing is exact
+        # and not subject to that limit.
+        return int(decimal.Decimal(digits))
+
+
 def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     """Parse 'p/q' or an integer literal into an exact Fraction."""
     if isinstance(text, (int, Fraction)):
@@ -36,8 +46,8 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _parse_int(m.group(1))
+    den = _parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(num, den)

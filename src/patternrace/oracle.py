@@ -1,19 +1,24 @@
 """Independent ground-truth engines.
 
-A deterministic prefix automaton drives an exact dynamic program for
-waiting-time distributions and an absorbing-chain linear solve for win
-probabilities and expectations.  A seeded Monte Carlo simulator and a
-direct simulation of the casino-net-gain martingale provide statistical
-cross-checks.
+The prefix automaton is the Markov chain embedding of the race: its
+states are the proper pattern prefixes and its absorbing codes the
+patterns.  build_automaton validates the problem and builds it once;
+every engine then takes the automaton.  It drives an exact dynamic
+program for waiting-time distributions and an absorbing-chain linear
+solve for win probabilities and expectations.  A seeded Monte Carlo
+simulator and a direct simulation of the casino-net-gain martingale
+provide statistical cross-checks; both sample paths with one walk.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .correlation import correlation
@@ -24,9 +29,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_MAX_STEPS = 10 ** 6
-
-# A DistributionTable has exactly the shape of the solver's SeriesTable.
-DistributionTable = SeriesTable
 
 
 class OracleError(RuntimeError):
@@ -46,13 +48,6 @@ class PrefixAutomaton:
     states: tuple            # tuple of letter tuples, states[0] == ()
     transitions: tuple       # transitions[state][letter] -> code
     start: int
-
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
-    def state_index(self, letters: tuple) -> int:
-        return self.states.index(letters)
 
 
 def build_automaton(problem: RaceProblem) -> PrefixAutomaton:
@@ -97,13 +92,12 @@ def build_automaton(problem: RaceProblem) -> PrefixAutomaton:
                            transitions=transitions, start=start)
 
 
-def exact_distribution(problem: RaceProblem, n: int) -> DistributionTable:
+def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
     """Exact rational DP over the automaton up to horizon n."""
     if n < 0:
         raise ValueError("horizon must be >= 0")
-    auto = build_automaton(problem)
-    m = problem.num_patterns
-    probs = problem.alphabet.probs
+    m = auto.problem.num_patterns
+    probs = auto.problem.alphabet.probs
     per = [[_ZERO] * (n + 1) for _ in range(m)]
     absorbed = _ZERO
     if auto.start < 0:
@@ -130,8 +124,8 @@ def exact_distribution(problem: RaceProblem, n: int) -> DistributionTable:
     per_t = tuple(tuple(col) for col in per)
     totals = tuple(sum(col[i] for col in per_t) for i in range(n + 1))
     tail = 1 - sum(totals)
-    return DistributionTable(horizon=n, per_pattern=per_t,
-                             totals=totals, tail_mass=tail)
+    return SeriesTable(horizon=n, per_pattern=per_t,
+                       totals=totals, tail_mass=tail)
 
 
 def _solve_fractions(matrix: List[List[Fraction]],
@@ -156,14 +150,13 @@ def _solve_fractions(matrix: List[List[Fraction]],
     return [row[n:] for row in a]
 
 
-def absorbing_solve(problem: RaceProblem) -> Tuple[tuple, Fraction]:
+def absorbing_solve(auto: PrefixAutomaton) -> Tuple[tuple, Fraction]:
     """First-step analysis: exact win probabilities and expected steps."""
-    auto = build_automaton(problem)
-    m = problem.num_patterns
+    m = auto.problem.num_patterns
     if auto.start < 0:
         wins = tuple(_ONE if k == -auto.start - 1 else _ZERO for k in range(m))
         return wins, _ZERO
-    probs = problem.alphabet.probs
+    probs = auto.problem.alphabet.probs
 
     reach = [auto.start]
     seen = {auto.start}
@@ -213,21 +206,39 @@ def _replicate_rng(seed: int, i: int) -> random.Random:
     return random.Random(f"{seed}:{i}")
 
 
-def monte_carlo(problem: RaceProblem, reps: int, seed: int = 0,
+def _cumulative(probs) -> list:
+    """Float cumulative letter probabilities, the last pinned to 1.0."""
+    cum = list(accumulate(float(p) for p in probs))
+    cum[-1] = 1.0
+    return cum
+
+
+def _walk(transitions: tuple, start: int, cum: list, rng: random.Random,
+          max_steps: int) -> list:
+    """Codes visited from the live state start, one per sampled letter,
+    up to and including the first absorbing code or max_steps letters.
+
+    The letter is the first index whose cumulative probability exceeds
+    u = rng.random(); cum ends at 1.0 > u, so one always does.
+    """
+    path = []
+    append, draw = path.append, rng.random
+    code = start
+    for _ in range(max_steps):
+        code = transitions[code][bisect_right(cum, draw())]
+        append(code)
+        if code < 0:
+            break
+    return path
+
+
+def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
                 max_steps: int = DEFAULT_MAX_STEPS) -> MonteCarloReport:
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    auto = build_automaton(problem)
-    m = problem.num_patterns
-    cum = []
-    acc = 0.0
-    for p in problem.alphabet.probs:
-        acc += float(p)
-        cum.append(acc)
-    cum[-1] = 1.0
-    trans = auto.transitions
+    cum = _cumulative(auto.problem.alphabet.probs)
 
-    wins = [0] * m
+    wins = [0] * auto.problem.num_patterns
     hist: Counter = Counter()
     truncated = 0
     tau_sum = 0
@@ -236,20 +247,10 @@ def monte_carlo(problem: RaceProblem, reps: int, seed: int = 0,
             wins[-auto.start - 1] += 1
             hist[0] += 1
             continue
-        rng = _replicate_rng(seed, i)
-        code = auto.start
-        tau = 0
-        while tau < max_steps:
-            u = rng.random()
-            a = 0
-            while u >= cum[a]:
-                a += 1
-            tau += 1
-            code = trans[code][a]
-            if code < 0:
-                break
-        if code < 0:
-            wins[-code - 1] += 1
+        path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
+        if path and path[-1] < 0:
+            tau = len(path)
+            wins[-path[-1] - 1] += 1
             hist[tau] += 1
             tau_sum += tau
         else:
@@ -304,8 +305,7 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    problem = RaceProblem(alphabet=alphabet, patterns=(b,), initial=a)
-    auto = build_automaton(problem)
+    auto = build_automaton(RaceProblem(alphabet=alphabet, patterns=(b,), initial=a))
 
     one_minus = 1 - alpha
     bound = 1 / (one_minus * pattern_prob(b, alphabet))
@@ -323,13 +323,7 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
         else:
             weights.append(_ZERO)
 
-    cum = []
-    acc = 0.0
-    for p in alphabet.probs:
-        acc += float(p)
-        cum.append(acc)
-    cum[-1] = 1.0
-    trans = auto.transitions
+    cum = _cumulative(alphabet.probs)
 
     violations = []
     truncated = 0
@@ -353,30 +347,18 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
                 violations.append((i, 0))
             record(y)
             continue
-        rng = _replicate_rng(seed, i)
-        code = auto.start
+        path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
         ap = alpha ** l
-        step = 0
-        y = None
-        while step < max_steps:
-            u = rng.random()
-            letter = 0
-            while u >= cum[letter]:
-                letter += 1
-            step += 1
+        for step, code in enumerate(path, 1):
             ap *= alpha
-            code = trans[code][letter]
             w = bb if code < 0 else weights[code]
             x = (1 - ap) / one_minus - ap * w
             if abs(x) > bound:
                 violations.append((i, step))
-            if code < 0:
-                y = x
-                break
-        if y is None:
-            truncated += 1
+        if path and path[-1] < 0:
+            record(x)
         else:
-            record(y)
+            truncated += 1
 
     if n_obs:
         mean = total / n_obs

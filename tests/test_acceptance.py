@@ -16,6 +16,7 @@ from patternrace.correlation import correlation, correlation_matrix
 from patternrace.model import RaceProblem, make_alphabet
 from patternrace.oracle import (
     absorbing_solve,
+    build_automaton,
     exact_distribution,
     martingale_check,
     monte_carlo,
@@ -103,7 +104,7 @@ def test_criterion_4_single_expectations(coin):
         b = coin.pattern(pat)
         assert single_expected(a, b, coin) == expected
         prob = RaceProblem(alphabet=coin, patterns=(b,), initial=a)
-        _, oracle_expected = absorbing_solve(prob)
+        _, oracle_expected = absorbing_solve(build_automaton(prob))
         assert oracle_expected == expected
     report(4, "single-pattern expectations 8, 10, 20 match the oracle")
 
@@ -115,11 +116,11 @@ def test_criterion_5_randomized_equivalence():
     for _ in range(n):
         prob = random_problem(rng)
         sol = solve_race(prob)
-        wins, expected = absorbing_solve(prob)
+        wins, expected = absorbing_solve(build_automaton(prob))
         assert wins == sol.win_probs
         assert expected == sol.expected_tau
         t = series(prob, 40, sol)
-        d = exact_distribution(prob, 40)
+        d = exact_distribution(build_automaton(prob), 40)
         assert t.per_pattern == d.per_pattern
         assert t.totals == d.totals
         assert t.tail_mass == d.tail_mass
@@ -180,14 +181,14 @@ def test_criterion_7_structural_invariants():
         for col in t.per_pattern:
             assert all(c >= 0 for c in col)
         # the DP itself asserts mass conservation at every step
-        exact_distribution(prob, 25)
+        exact_distribution(build_automaton(prob), 25)
     report(7, "structural invariants hold on 40 random solved instances")
 
 
 def test_criterion_8_statistical(race3, coin):
     start = time.monotonic()
     reps = 10 ** 5
-    mc = monte_carlo(race3, reps, seed=12345)
+    mc = monte_carlo(build_automaton(race3), reps, seed=12345)
     assert mc.truncated == 0
     exact = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     for freq, p in zip(mc.win_freqs, exact):

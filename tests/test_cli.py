@@ -1,11 +1,15 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from patternrace import cli
+from patternrace import model as model_mod
+from patternrace import oracle as oracle_mod
 from patternrace import solver as solver_mod
 from patternrace.cli import main
+from patternrace.algebra import RationalFunc
 from patternrace.model import ValidationReport
 from patternrace.serialize import (
     parse_problem,
@@ -241,3 +245,73 @@ def test_rational_str_past_int_str_digit_limit():
     digits = "9" * 4999 + "7"
     assert rational_str(Fraction(n)) == digits
     assert rational_str(Fraction(-n, 2)) == f"-{digits}/2"
+
+
+# ---------------------------------------------------------------------------
+# invalid problems, martingale violations and work per job
+
+
+@pytest.mark.parametrize("argv", [
+    ["race"],
+    ["race", "--oracle", "--series", "5"],
+    ["simulate", "--reps", "10"],
+    ["martingale", "--alpha", "1/2", "--reps", "10"],
+])
+def test_invalid_problem_reports_like_validate(tmp_path, capsys, argv):
+    path = write_problem(tmp_path, dict(THREE_WAY, patterns=["HT", "HTH"]))
+    assert main(["validate", path]) == 2
+    expected = json.loads(capsys.readouterr().out)
+    assert expected["valid"] is False and expected["violations"]
+    assert main([argv[0], path] + argv[1:]) == 2
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_martingale_violation_exits_5(problem_file, capsys, monkeypatch):
+    # A pattern probability of 10**6 shrinks the pathwise bound
+    # 1 / ((1 - alpha) P(b)) below every nonzero net gain.
+    monkeypatch.setattr(oracle_mod, "pattern_prob", lambda b, alphabet: Fraction(10 ** 6))
+    assert main(["martingale", problem_file, "--alpha", "1/2", "--reps", "3",
+                 "--seed", "4"]) == 5
+    violations = [tuple(v) for v in json.loads(capsys.readouterr().out)["violations"]]
+    assert violations == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
+                          (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                          (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
+
+
+def _count_calls(monkeypatch, *functions):
+    """Count the calls of each function, wherever patternrace holds it."""
+    counts = {f.__name__: 0 for f in functions}
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "patternrace" or n.startswith("patternrace."))]
+    for original in functions:
+        def counted(*args, _original=original, **kwargs):
+            counts[_original.__name__] += 1
+            return _original(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, validations, automata", [
+    (["race"], 1, 0),
+    (["race", "--series", "8", "--oracle"], 2, 1),
+    (["simulate", "--reps", "20"], 1, 1),
+    (["martingale", "--alpha", "1/2", "--reps", "20"], 2, 1),
+])
+def test_validations_and_automata_per_job(problem_file, capsys, monkeypatch,
+                                          argv, validations, automata):
+    counts = _count_calls(monkeypatch, model_mod.validate_race,
+                          oracle_mod.build_automaton)
+    assert main([argv[0], problem_file] + argv[1:]) == 0
+    capsys.readouterr()
+    assert counts == {"validate_race": validations, "build_automaton": automata}
+
+
+def test_parse_rational_past_int_str_digit_limit():
+    for x in (Fraction(10 ** 5000 - 3, 7), Fraction(-7, 10 ** 5000 - 3)):
+        assert parse_rational_str(rational_str(x)) == x
+    rf = RationalFunc((Fraction(10 ** 5000 - 3, 7), Fraction(1, 3)),
+                      (Fraction(1), Fraction(-1, 2)))
+    assert rf_from_obj(rf_to_obj(rf)) == rf

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from patternrace.correlation import correlation
-from patternrace.model import Pattern, RaceProblem, pattern_prob
+from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
     absorbing_solve,
     build_automaton,
@@ -61,7 +61,7 @@ def test_automaton_absorbing_start(fair_coin, three_way):
 
 def test_distribution_geometric(fair_coin):
     prob = RaceProblem(alphabet=fair_coin, patterns=(fair_coin.pattern("H"),))
-    t = exact_distribution(prob, 8)
+    t = exact_distribution(build_automaton(prob), 8)
     assert t.totals[0] == 0
     assert [t.totals[n] for n in range(1, 9)] == \
         [Fraction(1, 2 ** n) for n in range(1, 9)]
@@ -70,13 +70,13 @@ def test_distribution_geometric(fair_coin):
 def test_distribution_absorbing_start(fair_coin, three_way):
     prob = RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
                        initial=fair_coin.pattern("THH"))
-    t = exact_distribution(prob, 3)
+    t = exact_distribution(build_automaton(prob), 3)
     assert t.per_pattern[0][0] == 1
     assert t.tail_mass == 0
 
 
 def test_distribution_three_way_limits(three_way):
-    t = exact_distribution(three_way, 80)
+    t = exact_distribution(build_automaton(three_way), 80)
     absorbed = [sum(col) for col in t.per_pattern]
     exact = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     for got, want in zip(absorbed, exact):
@@ -87,19 +87,19 @@ def test_distribution_three_way_limits(three_way):
 # absorbing chain vs closed form
 
 def test_absorbing_three_way(three_way):
-    wins, expected = absorbing_solve(three_way)
+    wins, expected = absorbing_solve(build_automaton(three_way))
     assert wins == (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     assert expected == Fraction(31, 6)
 
 
 def test_absorbing_single_patterns(fair_coin):
     prob = RaceProblem(alphabet=fair_coin, patterns=(fair_coin.pattern("HTH"),))
-    wins, expected = absorbing_solve(prob)
+    wins, expected = absorbing_solve(build_automaton(prob))
     assert wins == (1,) and expected == 10
     prob = RaceProblem(alphabet=fair_coin,
                        patterns=(fair_coin.pattern("THTH"),),
                        initial=fair_coin.pattern("THH"))
-    assert absorbing_solve(prob)[1] == 20
+    assert absorbing_solve(build_automaton(prob))[1] == 20
 
 
 def test_solver_oracle_equivalence_random():
@@ -107,11 +107,11 @@ def test_solver_oracle_equivalence_random():
     for _ in range(40):
         prob = random_problem(rng)
         sol = solve_race(prob)
-        wins, expected = absorbing_solve(prob)
+        wins, expected = absorbing_solve(build_automaton(prob))
         assert wins == sol.win_probs
         assert expected == sol.expected_tau
         t = series(prob, 30, sol)
-        d = exact_distribution(prob, 30)
+        d = exact_distribution(build_automaton(prob), 30)
         assert t.per_pattern == d.per_pattern
         assert t.totals == d.totals
         assert t.tail_mass == d.tail_mass
@@ -122,26 +122,43 @@ def test_solver_oracle_equivalence_random():
 
 def test_monte_carlo_rejects_zero_reps(three_way):
     with pytest.raises(ValueError):
-        monte_carlo(three_way, 0)
+        monte_carlo(build_automaton(three_way), 0)
 
 
 def test_monte_carlo_determinism(three_way):
-    r1 = monte_carlo(three_way, 2000, seed=42)
-    r2 = monte_carlo(three_way, 2000, seed=42)
+    r1 = monte_carlo(build_automaton(three_way), 2000, seed=42)
+    r2 = monte_carlo(build_automaton(three_way), 2000, seed=42)
     assert r1 == r2
-    r3 = monte_carlo(three_way, 2000, seed=43)
+    r3 = monte_carlo(build_automaton(three_way), 2000, seed=43)
     assert r3 != r1
 
 
 def test_monte_carlo_frequencies_sum(three_way):
-    r = monte_carlo(three_way, 5000, seed=1)
+    r = monte_carlo(build_automaton(three_way), 5000, seed=1)
     assert sum(r.win_freqs) == 1 - Fraction(r.truncated, r.reps)
     assert sum(r.histogram.values()) == r.completed
 
 
+def test_monte_carlo_golden_samples(three_way):
+    # Recorded from the seeded walk; any change to letter sampling or
+    # per-replicate seeding shows here.
+    r = monte_carlo(build_automaton(three_way), 2000, seed=42)
+    assert r.win_counts == (799, 695, 506)
+    assert r.histogram == {3: 755, 4: 375, 5: 252, 6: 172, 7: 112, 8: 105, 9: 63,
+                           10: 49, 11: 32, 12: 23, 13: 21, 14: 12, 15: 5, 16: 14,
+                           17: 3, 18: 2, 21: 2, 22: 1, 23: 1, 25: 1}
+    abc = make_alphabet([("a", "1/7"), ("b", "2/7"), ("c", "4/7")])
+    prob = RaceProblem(alphabet=abc,
+                       patterns=tuple(abc.pattern(s) for s in ("ab", "cc", "bca")),
+                       initial=abc.pattern("b"))
+    r = monte_carlo(build_automaton(prob), 500, seed=5, max_steps=6)
+    assert (r.win_counts, r.truncated) == ((41, 333, 75), 51)
+    assert r.histogram == {2: 240, 3: 86, 4: 70, 5: 35, 6: 18}
+
+
 def test_monte_carlo_matches_exact(three_way):
     reps = 20000
-    r = monte_carlo(three_way, reps, seed=7)
+    r = monte_carlo(build_automaton(three_way), reps, seed=7)
     exact = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     for freq, p in zip(r.win_freqs, exact):
         sd = (float(p) * (1 - float(p)) / reps) ** 0.5
@@ -177,6 +194,13 @@ def test_martingale_example_pair(fair_coin):
     assert not rep.violations
     assert rep.truncated == 0
     assert abs(rep.z_score) <= 4
+
+
+def test_martingale_golden_sample(fair_coin):
+    rep = martingale_check(fair_coin.pattern("THTH"), fair_coin.pattern("THH"), fair_coin,
+                           Fraction(9, 10), reps=300, seed=11)
+    assert rep.empirical_mean == 2.904729184592612
+    assert rep.violations == ()
 
 
 def gambler_by_gambler_net_gain(letters, b, alphabet, alpha):

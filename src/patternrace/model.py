@@ -6,6 +6,7 @@ import decimal
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 # Soft caps; the cost of the exact race solve grows with the number and
@@ -65,11 +66,11 @@ class Alphabet:
             raise AlphabetError("alphabet must have at least one symbol")
         if len(self.symbols) != len(self.probs):
             raise AlphabetError("symbols and probabilities differ in length")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise AlphabetError("duplicate symbol in alphabet")
         for s in self.symbols:
             if not isinstance(s, str) or not s:
                 raise AlphabetError(f"symbol must be a non-empty string: {s!r}")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise AlphabetError("duplicate symbol in alphabet")
         for s, p in zip(self.symbols, self.probs):
             if p <= 0:
                 raise AlphabetError(f"probability of {s!r} must be positive, got {p}")
@@ -79,6 +80,12 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the probability denominators: d * p is an integer
+        for every letter probability p."""
+        return lcm(*(p.denominator for p in self.probs))
 
     @property
     def single_char(self) -> bool:

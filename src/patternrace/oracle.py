@@ -4,10 +4,12 @@ The prefix automaton is the Markov chain embedding of the race: its
 states are the proper pattern prefixes and its absorbing codes the
 patterns.  build_automaton validates the problem and builds it once;
 every engine then takes the automaton.  It drives an exact dynamic
-program for waiting-time distributions and an absorbing-chain linear
-solve for win probabilities and expectations.  A seeded Monte Carlo
-simulator and a direct simulation of the casino-net-gain martingale
-provide statistical cross-checks; both sample paths with one walk.
+program for waiting-time distributions, on integer masses scaled by
+powers of the letter-probability denominator, and an absorbing-chain
+linear solve for win probabilities and expectations.  A seeded Monte
+Carlo simulator and a direct simulation of the casino-net-gain
+martingale provide statistical cross-checks; both sample paths with
+one walk.
 """
 
 from __future__ import annotations
@@ -93,39 +95,45 @@ def build_automaton(problem: RaceProblem) -> PrefixAutomaton:
 
 
 def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
-    """Exact rational DP over the automaton up to horizon n."""
+    """Exact DP over the automaton up to horizon n.
+
+    With d the lcm of the letter-probability denominators, the mass at
+    step t is carried as an integer scaled by d**t: each letter moves it
+    with the integer weight d * p_a.  Every step checks that the live and
+    absorbed masses sum to d**t.
+    """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     m = auto.problem.num_patterns
-    probs = auto.problem.alphabet.probs
-    per = [[_ZERO] * (n + 1) for _ in range(m)]
-    absorbed = _ZERO
+    d = auto.problem.alphabet.denominator
+    weights = [int(p * d) for p in auto.problem.alphabet.probs]
+    per = [[0] * (n + 1) for _ in range(m)]
     if auto.start < 0:
-        per[-auto.start - 1][0] = _ONE
-        absorbed = _ONE
-        live: Dict[int, Fraction] = {}
+        per[-auto.start - 1][0] = 1
+        absorbed = 1
+        live: Dict[int, int] = {}
     else:
-        live = {auto.start: _ONE}
+        absorbed = 0
+        live = {auto.start: 1}
+    scale = 1
     for t in range(1, n + 1):
-        nxt: Dict[int, Fraction] = {}
+        scale *= d
+        absorbed *= d
+        nxt: Dict[int, int] = {}
         for s, mass in live.items():
             row = auto.transitions[s]
-            for a, pa in enumerate(probs):
+            for a, w in enumerate(weights):
                 code = row[a]
-                chunk = mass * pa
+                chunk = mass * w
                 if code < 0:
                     per[-code - 1][t] += chunk
                     absorbed += chunk
                 else:
-                    nxt[code] = nxt.get(code, _ZERO) + chunk
+                    nxt[code] = nxt.get(code, 0) + chunk
         live = nxt
-        if sum(live.values(), _ZERO) + absorbed != 1:
+        if sum(live.values()) + absorbed != scale:
             raise OracleError("mass conservation violated in DP")
-    per_t = tuple(tuple(col) for col in per)
-    totals = tuple(sum(col[i] for col in per_t) for i in range(n + 1))
-    tail = 1 - sum(totals)
-    return SeriesTable(horizon=n, per_pattern=per_t,
-                       totals=totals, tail_mass=tail)
+    return SeriesTable.from_scaled(per, d)
 
 
 def _solve_fractions(matrix: List[List[Fraction]],

@@ -59,8 +59,9 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational_str(text: Union[str, int]) -> Fraction:
-    if isinstance(text, float):
-        raise ParseError(f"floats are not accepted as rationals: {text!r}")
+    # bool is an int subclass: JSON true would otherwise read as 1.
+    if isinstance(text, (bool, float)):
+        raise ParseError(f"{type(text).__name__}s are not accepted as rationals: {text!r}")
     try:
         return parse_rational(text)
     except (ValueError, TypeError) as e:

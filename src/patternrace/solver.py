@@ -3,14 +3,19 @@
 Single-pattern generating functions from the optional-stopping argument,
 the competing-pattern linear system solved exactly by one fraction-free
 elimination over Z[alpha], and exact power-series extraction of
-waiting-time distributions.
+waiting-time distributions.  With d the lcm of the letter-probability
+denominators, d**n * P(tau = n, k wins) is an integer, so the series
+recurrence runs on those integers and each table entry becomes a
+Fraction only once, when the SeriesTable is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence
 
 from .algebra import (
@@ -32,8 +37,6 @@ from .model import (
     require_valid,
 )
 
-_ZERO = Fraction(0)
-
 
 class SolverError(RuntimeError):
     pass
@@ -48,6 +51,14 @@ class ZeroConstantDenominatorError(SolverError):
 
     This signals an internal bug: the generating function must be finite
     at alpha = 0.
+    """
+
+
+class InexactSeriesError(SolverError):
+    """A scaled series coefficient was not an integer.
+
+    This signals an internal bug: the scale does not clear the
+    denominators of the series.
     """
 
 
@@ -222,19 +233,36 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
 # ---------------------------------------------------------------------------
 # power series
 
-def power_series(rf: RationalFunc, n: int) -> list:
-    """First n+1 Taylor coefficients of rf around alpha = 0."""
+def power_series(rf: RationalFunc, n: int, d: int) -> list:
+    """First n+1 Taylor coefficients c_i of rf around alpha = 0, scaled
+    to the integers C_i = d**i * c_i.
+
+    d must make every C_i an integer: for a race generating function,
+    c_i is a sum of products of i letter probabilities, so the lcm of
+    their denominators will do.  num and den are cleared to integers N, E
+    by the lcm of their coefficient denominators, and the recurrence
+    E_0 C_i = d**i N_i - sum_j E_j d**j C_(i-j) runs on ints with one
+    exact division per coefficient.
+    """
     if not rf.den or rf.den[0] == 0:
         raise ZeroConstantDenominatorError(
             "denominator has zero constant term; no Taylor expansion at 0")
-    num, den = rf.num, rf.den
-    d0 = den[0]
+    l = lcm(*(c.denominator for c in rf.num + rf.den))
+    num = [int(c * l) for c in rf.num]
+    e0 = int(rf.den[0] * l)
+    # E_j * d**j for j = 1, 2, ..., nearest term first.
+    den = [int(c * l) * d ** j for j, c in enumerate(rf.den[1:], 1)]
     out: list = []
+    scale = 1
     for i in range(n + 1):
-        c = num[i] if i < len(num) else _ZERO
-        for j in range(1, min(i, len(den) - 1) + 1):
-            c -= den[j] * out[i - j]
-        out.append(c / d0)
+        acc = num[i] * scale if i < len(num) else 0
+        acc -= sum(map(mul, den, reversed(out[max(0, i - len(den)):])))
+        c, r = divmod(acc, e0)
+        if r:
+            raise InexactSeriesError(
+                f"coefficient {i} times {d}**{i} is not an integer")
+        out.append(c)
+        scale *= d
     return out
 
 
@@ -252,18 +280,42 @@ class SeriesTable:
     totals: tuple
     tail_mass: Fraction
 
+    @classmethod
+    def from_scaled(cls, columns: Sequence[list], d: int) -> "SeriesTable":
+        """The table whose column k holds columns[k][n] / d**n.
+
+        Totals and the tail are summed on the scaled integers; each
+        Fraction is built once, from an integer and a power of d.
+        """
+        totals = [sum(row) for row in zip(*columns)]
+        powers = list(accumulate(repeat(d, len(totals) - 1), mul, initial=1))
+        # sum_n totals[n] * d**(horizon - n), by Horner's rule
+        absorbed = 0
+        for t in totals:
+            absorbed = absorbed * d + t
+        return cls(
+            horizon=len(totals) - 1,
+            per_pattern=tuple(tuple(map(Fraction, col, powers)) for col in columns),
+            totals=tuple(map(Fraction, totals, powers)),
+            tail_mass=Fraction(powers[-1] - absorbed, powers[-1]),
+        )
+
     def row(self, n: int) -> tuple:
         return tuple(col[n] for col in self.per_pattern)
 
 
 def series(problem: RaceProblem, n: int,
            solution: Optional[RaceSolution] = None) -> SeriesTable:
-    """Exact distribution table extracted from the closed-form solution."""
+    """Exact distribution table extracted from the closed-form solution.
+
+    Each generating function g_k is expanded with power_series, scaled
+    by the lcm d of the letter-probability denominators, so that
+    d**n * P(tau = n, k wins) stays an integer until the table is built.
+    """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     if solution is None:
         solution = solve_race(problem)
-    per = tuple(tuple(power_series(g, n)) for g in solution.g_per_pattern)
-    totals = tuple(sum(col[i] for col in per) for i in range(n + 1))
-    tail = 1 - sum(totals)
-    return SeriesTable(horizon=n, per_pattern=per, totals=totals, tail_mass=tail)
+    d = problem.alphabet.denominator
+    return SeriesTable.from_scaled(
+        [power_series(g, n, d) for g in solution.g_per_pattern], d)

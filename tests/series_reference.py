@@ -1,0 +1,41 @@
+"""Reference oracle: Taylor coefficients by the Fraction recurrence.
+
+This is the term-by-term rational recurrence den * c = num, solved for
+c_i with Fraction arithmetic on the canonical coefficients.  It needs no
+scale and no integer clearing, so it is independent of the integer
+kernel `patternrace.solver.power_series`, which the tests compare
+against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from patternrace.algebra import RationalFunc
+from patternrace.solver import RaceSolution, SeriesTable, ZeroConstantDenominatorError
+
+_ZERO = Fraction(0)
+
+
+def power_series(rf: RationalFunc, n: int) -> list:
+    """First n+1 Taylor coefficients of rf around alpha = 0."""
+    if not rf.den or rf.den[0] == 0:
+        raise ZeroConstantDenominatorError(
+            "denominator has zero constant term; no Taylor expansion at 0")
+    num, den = rf.num, rf.den
+    d0 = den[0]
+    out: list = []
+    for i in range(n + 1):
+        c = num[i] if i < len(num) else _ZERO
+        for j in range(1, min(i, len(den) - 1) + 1):
+            c -= den[j] * out[i - j]
+        out.append(c / d0)
+    return out
+
+
+def series_table(solution: RaceSolution, n: int) -> SeriesTable:
+    """The distribution table summed in Fractions."""
+    per = tuple(tuple(power_series(g, n)) for g in solution.g_per_pattern)
+    totals = tuple(sum(col[i] for col in per) for i in range(n + 1))
+    return SeriesTable(horizon=n, per_pattern=per, totals=totals,
+                       tail_mass=1 - sum(totals))

@@ -243,7 +243,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
 
 
 def series_totals(sol, n):
-    from patternrace.solver import power_series
+    from series_reference import power_series
 
     per = [power_series(g, n) for g in sol.g_per_pattern]
     return [sum(col[i] for col in per) for i in range(n + 1)]

@@ -315,3 +315,28 @@ def test_parse_rational_past_int_str_digit_limit():
     rf = RationalFunc((Fraction(10 ** 5000 - 3, 7), Fraction(1, 3)),
                       (Fraction(1), Fraction(-1, 2)))
     assert rf_from_obj(rf_to_obj(rf)) == rf
+
+
+@pytest.mark.parametrize("symbol", [["a"], {"a": 1}])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["race"], ["simulate", "--reps", "3"],
+    ["martingale", "--alpha", "1/2", "--reps", "3"],
+    ["correlate", "--a", "b", "--b", "b"],
+])
+def test_unhashable_symbol_is_parse_error(tmp_path, capsys, symbol, argv):
+    path = write_problem(tmp_path, {
+        "alphabet": [{"symbol": symbol, "prob": "1/2"},
+                     {"symbol": "b", "prob": "1/2"}],
+        "patterns": ["b"]})
+    assert main([argv[0], path] + argv[1:]) == 3
+    assert "symbol must be a non-empty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_is_not_a_rational(tmp_path, capsys, value):
+    with pytest.raises(ParseError):
+        parse_rational_str(value)
+    path = write_problem(tmp_path, {
+        "alphabet": [{"symbol": "a", "prob": value}], "patterns": ["aa"]})
+    assert main(["race", path]) == 3
+    assert "not accepted as rationals" in capsys.readouterr().err

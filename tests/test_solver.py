@@ -6,10 +6,12 @@ import pytest
 
 from patternrace.algebra import ONE_MINUS_ALPHA, LaurentPoly, RationalFunc, ipoly_trim
 from patternrace.correlation import correlation_matrix, initial_correlation_vector
-from patternrace.model import InvalidRaceError, RaceProblem
+from patternrace.model import InvalidRaceError, RaceProblem, make_alphabet
+from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
     DegenerateCollectionError,
+    InexactSeriesError,
     fraction_free_solve,
     power_series,
     series,
@@ -20,6 +22,7 @@ from patternrace.solver import (
 )
 
 import cramer_reference
+import series_reference
 from conftest import random_problem
 from cramer_reference import (
     build_system,
@@ -71,7 +74,7 @@ def solve_linear_rf(matrix, rhs):
 def test_single_pgf_geometric(fair_coin):
     g = single_pgf(None, fair_coin.pattern("H"), fair_coin)
     assert g == RationalFunc((0, 1), (2, -1))  # alpha/(2 - alpha)
-    coeffs = power_series(g, 6)
+    coeffs = [Fraction(c, 2 ** i) for i, c in enumerate(power_series(g, 6, 2))]
     assert coeffs[0] == 0
     assert coeffs[1:] == [Fraction(1, 2 ** n) for n in range(1, 7)]
 
@@ -433,3 +436,56 @@ def test_series_nonnegative_random():
         assert t.tail_mass >= 0
         assert all(t.totals[n] == sum(col[n] for col in t.per_pattern)
                    for n in range(26))
+
+
+def _assert_three_tables_equal(prob, n):
+    """series == the Fraction reference == the automaton DP, exactly."""
+    sol = solve_race(prob)
+    t = series(prob, n, sol)
+    assert t == series_reference.series_table(sol, n)
+    assert t == exact_distribution(build_automaton(prob), n)
+    return t
+
+
+@pytest.mark.parametrize("with_initial", [False, True])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_series_equals_reference_and_dp(m, with_initial):
+    rng = random.Random(f"series:{m}:{with_initial}")
+    for _ in range(5):
+        prob = random_problem(rng, with_initial=with_initial, m=m)
+        for n in (0, 1, 50):
+            _assert_three_tables_equal(prob, n)
+
+
+def test_series_single_letter_alphabet():
+    # D = 1: every scaled coefficient is the probability itself.
+    one = make_alphabet([("a", "1")])
+    assert one.denominator == 1
+    prob = RaceProblem(alphabet=one, patterns=(one.pattern("aaa"),))
+    t = _assert_three_tables_equal(prob, 50)
+    assert t.totals[3] == 1 and sum(t.totals) == 1 and t.tail_mass == 0
+    prob = RaceProblem(alphabet=one, patterns=(one.pattern("aaa"),),
+                       initial=one.pattern("a"))
+    t = _assert_three_tables_equal(prob, 1)
+    assert t.totals == (0, 0) and t.tail_mass == 1
+
+
+@pytest.mark.parametrize("initial", ["HTH", "THH"])
+def test_series_start_already_absorbed(fair_coin, three_way, initial):
+    prob = RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
+                       initial=fair_coin.pattern(initial))
+    for n in (0, 1, 50):
+        t = _assert_three_tables_equal(prob, n)
+        assert t.totals == (1,) + (0,) * n and t.tail_mass == 0
+
+
+def test_power_series_wrong_scale_raises():
+    # P(tau = n) has denominator 3**n here, so only a multiple of 3 scales
+    # every coefficient to an integer.
+    thirds = make_alphabet([("a", "1/3"), ("b", "2/3")])
+    g = solve_race(RaceProblem(alphabet=thirds, patterns=(thirds.pattern("ab"),))).g_total
+    assert power_series(g, 10, 3) == [
+        3 ** i * c for i, c in enumerate(series_reference.power_series(g, 10))]
+    for d in (1, 2, 4):
+        with pytest.raises(InexactSeriesError):
+            power_series(g, 10, d)

@@ -100,7 +100,8 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
     With d the lcm of the letter-probability denominators, the mass at
     step t is carried as an integer scaled by d**t: each letter moves it
     with the integer weight d * p_a.  Every step checks that the live and
-    absorbed masses sum to d**t.
+    absorbed masses sum to d**t, and the table's tail is checked
+    against the live mass left at step n.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
@@ -133,7 +134,12 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
         live = nxt
         if sum(live.values()) + absorbed != scale:
             raise OracleError("mass conservation violated in DP")
-    return SeriesTable.from_scaled(per, d)
+    table = SeriesTable.from_scaled(per, d)
+    # The live mass is the tail the DP tracked itself; from_scaled
+    # derives it from the absorbed columns.
+    if table.tail_mass != Fraction(sum(live.values()), scale):
+        raise OracleError("DP tail disagrees with its absorbed columns")
+    return table
 
 
 def _solve_fractions(matrix: List[List[Fraction]],

@@ -286,6 +286,12 @@ class SeriesTable:
 
         Totals and the tail are summed on the scaled integers; each
         Fraction is built once, from an integer and a power of d.
+
+        series and exact_distribution both build their tables here, so
+        the CLI's comparison of the two does not check this conversion.
+        exact_distribution checks the tail against its own live mass, and
+        the tests compare series with tests/series_reference.series_table,
+        which builds its Fractions without this method.
         """
         totals = [sum(row) for row in zip(*columns)]
         powers = list(accumulate(repeat(d, len(totals) - 1), mul, initial=1))

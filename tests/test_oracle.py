@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,13 +7,14 @@ import pytest
 from patternrace.correlation import correlation
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
+    OracleError,
     absorbing_solve,
     build_automaton,
     exact_distribution,
     martingale_check,
     monte_carlo,
 )
-from patternrace.solver import series, solve_race
+from patternrace.solver import SeriesTable, series, solve_race
 
 from conftest import random_problem
 
@@ -81,6 +83,21 @@ def test_distribution_three_way_limits(three_way):
     exact = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     for got, want in zip(absorbed, exact):
         assert abs(got - want) <= t.tail_mass
+
+
+def test_distribution_tail_checked_against_live_mass(three_way, monkeypatch):
+    # series and the DP share SeriesTable.from_scaled, so the DP checks the
+    # tail it builds against the live mass it tracked itself.
+    build = SeriesTable.from_scaled.__func__
+
+    def wrong_tail(cls, columns, d):
+        t = build(cls, columns, d)
+        return dataclasses.replace(t, tail_mass=t.tail_mass + Fraction(1, d ** t.horizon))
+
+    exact_distribution(build_automaton(three_way), 5)
+    monkeypatch.setattr(SeriesTable, "from_scaled", classmethod(wrong_tail))
+    with pytest.raises(OracleError, match="tail"):
+        exact_distribution(build_automaton(three_way), 5)
 
 
 # ---------------------------------------------------------------------------

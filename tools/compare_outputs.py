@@ -1,65 +1,53 @@
 """Compare the stdout of two patternrace checkouts on the benchmark's jobs.
 
-    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR [--seeds 1 2 3] [--passes 10]
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-PARENT_DIR and CHANGE_DIR are source checkouts (each with src/patternrace).
-The jobs are the benchmark's own: bench/workloads.make_pass of this checkout
-writes the problem files of every (workload, seed, pass) into one temporary
-directory and returns the argv of each job, so both checkouts read the same
-bytes.  Each checkout runs all jobs in one worker process, calling
-patternrace.cli.main in-process with stdout captured, as bench/run.py does.
-The two outputs are then compared job by job.  Exit status 0 means every
-job printed the same stdout with the same exit code in both checkouts.
+PARENT_DIR and CHANGE_DIR are source checkouts, each with src/patternrace
+and bench/.  The jobs are the benchmark's own: bench/workloads.make_pass
+of this checkout writes the problem files of every workload, seeds 1-3
+and passes 0-9 into one temporary directory and returns the jobs, so both
+checkouts read the same bytes.  Each checkout runs all jobs in one worker
+process with its own bench/run.py: load_program imports patternrace.cli
+from that checkout's src, and run_job calls it in-process with stdout
+captured, as the benchmark does.  The two outputs are then compared job
+by job.  Exit status 0 means every job printed the same stdout with the
+same exit code in both checkouts.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("race_initial", "race_series", "simulate")
+SEEDS = (1, 2, 3)
+PASSES = 10
 
 
-def run_jobs(src: str, argvs: list, directory: str) -> list:
-    """Runs each argv with patternrace.cli under src, writes its stdout to
-    directory/<job number>.out and returns the exit codes."""
-    sys.path.insert(0, src)
-    from patternrace import cli
-
-    codes = []
-    for number, argv in enumerate(argvs):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                rc = cli.main(argv)
-            except SystemExit as e:
-                rc = e.code if isinstance(e.code, int) else 2
-            except Exception as e:  # a traceback is an output to compare too
-                rc = 1
-                out.write(f"{type(e).__name__}: {e}")
-        with open(os.path.join(directory, f"{number}.out"), "w", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
-        codes.append(rc)
-    return codes
+def bench_module(checkout: str, name: str):
+    """Imports bench/<name>.py of checkout (which puts its bench/ on sys.path)."""
+    bench = os.path.join(checkout, "bench")
+    if not os.path.isfile(os.path.join(bench, f"{name}.py")):
+        sys.exit(f"no {name}.py under {bench}")
+    sys.path.insert(0, bench)
+    return __import__(name)
 
 
-def make_jobs(directory: str, names: list, seeds: list, passes: int) -> list:
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    import workloads
-
+def make_jobs(directory: str) -> list:
+    """(workload, seed, pass, job) for every benchmark job."""
+    workloads = bench_module(ROOT, "workloads")
     jobs = []
-    for name in names:
-        for seed in seeds:
-            for index in range(passes):
-                sub = os.path.join(directory, f"{name}-seed{seed}")
-                os.makedirs(sub, exist_ok=True)
-                jobs += [(name, seed, index, job.argv)
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            sub = os.path.join(directory, f"{name}-seed{seed}")
+            os.makedirs(sub)
+            for index in range(PASSES):
+                jobs += [(name, seed, index, job)
                          for job in workloads.make_pass(name, seed, index, sub)]
     return jobs
 
@@ -71,43 +59,36 @@ def first_difference(a: str, b: str) -> str:
     return f"lengths {len(a)} != {len(b)}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["race_initial", "race_series", "simulate"])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    parser.add_argument("--passes", type=int, default=10)
-    args = parser.parse_args(argv)
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
+
+def main(parent: str, change: str) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as directory:
-        jobs = make_jobs(os.path.join(directory, "inputs"), args.workloads,
-                         args.seeds, args.passes)
-        argvs = json.dumps([job[3] for job in jobs])
+        jobs = make_jobs(os.path.join(directory, "inputs"))
+        payload = pickle.dumps([job[3] for job in jobs])
         workers, outdirs = [], []
-        for label, checkout in (("parent", args.parent), ("change", args.change)):
-            src = os.path.join(os.path.abspath(checkout), "src")
-            if not os.path.isfile(os.path.join(src, "patternrace", "cli.py")):
-                sys.exit(f"no patternrace sources under {src}")
+        for label, checkout in (("parent", parent), ("change", change)):
             outdir = os.path.join(directory, label)
             os.makedirs(outdir)
             proc = subprocess.Popen(
-                [sys.executable, os.path.abspath(__file__), "--worker", src, outdir],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-            proc.stdin.write(argvs)
+                [sys.executable, os.path.abspath(__file__), "--worker",
+                 os.path.abspath(checkout), outdir],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            proc.stdin.write(payload)
             proc.stdin.close()
             workers.append(proc)
             outdirs.append(outdir)
-        results = []
-        for proc in workers:
-            results.append(json.loads(proc.stdout.read()))
-            if proc.wait():
-                sys.exit(f"worker exited {proc.returncode}")
+        outputs = [proc.stdout.read() for proc in workers]
+        exits = [proc.wait() for proc in workers]
+        if any(exits):
+            sys.exit(f"worker exit codes {exits}")
+        results = [json.loads(out) for out in outputs]
 
         differ = 0
         codes: dict = {}
-        for number, ((name, seed, index, job_argv), rc_a, rc_b) in enumerate(
+        for number, ((name, seed, index, job), rc_a, rc_b) in enumerate(
                 zip(jobs, *results)):
             out_a, out_b = (read(os.path.join(d, f"{number}.out")) for d in outdirs)
             codes[rc_a] = codes.get(rc_a, 0) + 1
@@ -116,23 +97,30 @@ def main(argv=None) -> int:
                 detail = (f"exit {rc_a} != {rc_b}" if rc_a != rc_b
                           else first_difference(out_a, out_b))
                 print(f"DIFFER {name} seed {seed} pass {index}: "
-                      f"{' '.join(job_argv)}: {detail}")
+                      f"{' '.join(job.argv)}: {detail}")
     print(json.dumps({"jobs": len(jobs), "differ": differ,
                       "parent_exit_codes": {str(k): v for k, v in sorted(codes.items())}}))
     return 1 if differ else 0
 
 
-def read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def worker(src: str, directory: str) -> None:
-    json.dump(run_jobs(src, json.loads(sys.stdin.read()), directory), sys.stdout)
+def worker(checkout: str, directory: str) -> None:
+    """Runs each pickled job with the checkout's bench/run.py, writes its
+    stdout to directory/<job number>.out and prints the exit codes."""
+    run = bench_module(checkout, "run")
+    cli = run.load_program()
+    codes = []
+    for number, job in enumerate(pickle.loads(sys.stdin.buffer.read())):
+        rc, out = run.run_job(cli, job)
+        with open(os.path.join(directory, f"{number}.out"), "w", encoding="utf-8") as fh:
+            fh.write(out)
+        codes.append(rc)
+    json.dump(codes, sys.stdout)
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--worker":
         worker(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 3:
+        sys.exit(main(sys.argv[1], sys.argv[2]))
     else:
-        sys.exit(main())
+        sys.exit("usage: python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR")

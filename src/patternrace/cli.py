@@ -143,9 +143,15 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _check_sampling_args(args) -> None:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    if args.max_steps < 1:
+        raise UsageError("--max-steps must be >= 1")
+
+
+def cmd_simulate(args) -> int:
+    _check_sampling_args(args)
     problem = load_problem(args.input)
     auto = oracle_mod.build_automaton(problem)
     report = oracle_mod.monte_carlo(auto, args.reps, seed=args.seed,
@@ -183,8 +189,7 @@ def _json_float(x: float):
 
 
 def cmd_martingale(args) -> int:
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
+    _check_sampling_args(args)
     alpha = parse_rational_str(args.alpha)
     if not 0 < alpha < 1:
         raise UsageError("--alpha must lie strictly inside (0, 1)")

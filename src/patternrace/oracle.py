@@ -250,6 +250,8 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
                 max_steps: int = DEFAULT_MAX_STEPS) -> MonteCarloReport:
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     cum = _cumulative(auto.problem.alphabet.probs)
 
     wins = [0] * auto.problem.num_patterns
@@ -262,7 +264,7 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
             hist[0] += 1
             continue
         path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
-        if path and path[-1] < 0:
+        if path[-1] < 0:
             tau = len(path)
             wins[-path[-1] - 1] += 1
             hist[tau] += 1
@@ -305,6 +307,34 @@ class MartingaleReport:
     truncated: int
 
 
+def _last_exponent(alpha: Fraction, r: Fraction, strict: bool) -> int:
+    """Largest e >= 0 with alpha**e > r (strict) or alpha**e >= r, or -1
+    when no e qualifies.
+
+    alpha lies in (0, 1) and r > 0, so alpha**e falls with e and the
+    qualifying exponents are 0..e.  A float estimate of log(r)/log(alpha)
+    starts the search and exact comparisons correct it, so the cost
+    follows the answer, not a step cap.
+    """
+    def holds(e: int) -> bool:
+        p = alpha ** e
+        return p > r if strict else p >= r
+
+    def log(q: Fraction) -> float:
+        # Logs of the parts, since q itself may lie past the float range.
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    if not holds(0):
+        return -1
+    log_alpha = log(alpha)  # 0.0 once alpha is within rounding of 1
+    e = max(int(log(r) / log_alpha), 0) if log_alpha < 0 else 0
+    while e > 0 and not holds(e):
+        e -= 1
+    while holds(e + 1):
+        e += 1
+    return e
+
+
 def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
                      alpha: Fraction, reps: int, seed: int = 0,
                      max_steps: int = DEFAULT_MAX_STEPS) -> MartingaleReport:
@@ -313,29 +343,56 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     Checks the optional-stopping identity (initial value equals the mean
     stopped value, up to Monte Carlo error) and the pathwise bound on the
     absolute net gain along every sampled path.
+
+    After exponent e = l + step, with l the length of the initial word a,
+    the net gain is x(e) = K - alpha**e * (K + w), where K = 1/(1 - alpha)
+    and w >= 0 is the weight of the current automaton code: the
+    correlation of its word against b, or (B*B) once b has completed.  So
+    x rises with e, and |x| > bound holds exactly when e <= lo (x below
+    -bound) or e > hi (x above bound).  Both thresholds are found once per
+    code in exact Fractions; hi is unbounded when K <= bound, which holds
+    whenever P(b) <= 1.  The walk then compares integers only, and the
+    stopped value K - alpha**(l + tau) * (K + (B*B)) is built exactly
+    once per stopping exponent.  Every reported value is the same as
+    evaluating x in Fractions at every step.  What a pass still spends
+    is mostly the per-replicate seeding, which the sampling contract
+    fixes.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     auto = build_automaton(RaceProblem(alphabet=alphabet, patterns=(b,), initial=a))
 
-    one_minus = 1 - alpha
-    bound = 1 / (one_minus * pattern_prob(b, alphabet))
+    k = 1 / (1 - alpha)
+    bound = k / pattern_prob(b, alphabet)
     l = len(a) if a is not None else 0
     ab = correlation(a, b, alphabet)(alpha) if a is not None else _ZERO
     bb = correlation(b, b, alphabet)(alpha)
-    y0 = (1 - alpha ** l) / one_minus - alpha ** l * ab
+    y0 = k - alpha ** l * (k + ab)
 
-    # Live-gambler weight per state: the correlation of the state word
-    # against b prices every gambler still in the game.
-    weights = []
-    for s in auto.states:
-        if s:
-            weights.append(correlation(Pattern(s), b, alphabet)(alpha))
-        else:
-            weights.append(_ZERO)
+    # Weight per code: the correlation of each state word against b prices
+    # every gambler still in the game.  The absorbing code is -1, so
+    # appending (B*B) last lets lists indexed by code serve it as well.
+    weights = [correlation(Pattern(s), b, alphabet)(alpha) if s else _ZERO
+               for s in auto.states]
+    weights.append(bb)
+    # Step thresholds: step s of a path at code c violates the bound
+    # iff s <= lo[c] or s > hi[c].
+    lo = [_last_exponent(alpha, (k + bound) / (k + w), strict=True) - l
+          for w in weights]
+    hi = [_last_exponent(alpha, (k - bound) / (k + w), strict=False) - l
+          if k > bound else math.inf for w in weights]
+
+    stopped: Dict[int, float] = {}
+
+    def stopped_value(e: int) -> float:
+        if e not in stopped:
+            stopped[e] = float(k - alpha ** e * (k + bb))
+        return stopped[e]
 
     cum = _cumulative(alphabet.probs)
 
@@ -345,34 +402,32 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     total_sq = 0.0
     n_obs = 0
 
-    def record(y: Fraction):
+    def record(fy: float):
         nonlocal total, total_sq, n_obs
-        fy = float(y)
         total += fy
         total_sq += fy * fy
         n_obs += 1
 
     if abs(y0) > bound:
         violations.append((-1, 0))
-    for i in range(reps):
-        if auto.start < 0:
-            y = (1 - alpha ** l) / one_minus - alpha ** l * bb
-            if abs(y) > bound:
-                violations.append((i, 0))
-            record(y)
-            continue
-        path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
-        ap = alpha ** l
-        for step, code in enumerate(path, 1):
-            ap *= alpha
-            w = bb if code < 0 else weights[code]
-            x = (1 - ap) / one_minus - ap * w
-            if abs(x) > bound:
-                violations.append((i, step))
-        if path and path[-1] < 0:
-            record(x)
-        else:
-            truncated += 1
+    if auto.start < 0:
+        # b completed inside the initial word: every replicate stops at
+        # step 0 with the same value.
+        if 0 <= lo[-1] or 0 > hi[-1]:
+            violations.extend((i, 0) for i in range(reps))
+        for _ in range(reps):
+            record(stopped_value(l))
+    else:
+        for i in range(reps):
+            path = _walk(auto.transitions, auto.start, cum,
+                         _replicate_rng(seed, i), max_steps)
+            for step, code in enumerate(path, 1):
+                if step <= lo[code] or step > hi[code]:
+                    violations.append((i, step))
+            if path[-1] < 0:
+                record(stopped_value(l + len(path)))
+            else:
+                truncated += 1
 
     if n_obs:
         mean = total / n_obs

@@ -76,6 +76,10 @@ def decimal_str(x: Fraction, digits: Optional[int] = None) -> str:
 
 
 def parse_pattern_spec(spec, alphabet: Alphabet) -> Pattern:
+    # Alphabet.pattern would read any iterable, so a JSON object would
+    # pass as the list of its keys.
+    if not isinstance(spec, (str, list)):
+        raise ParseError(f"bad pattern {spec!r}: not a string or a list of symbols")
     try:
         return alphabet.pattern(spec)
     except (PatternError, TypeError) as e:

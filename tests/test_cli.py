@@ -158,6 +158,18 @@ def test_simulate_zero_reps(problem_file):
     assert main(["simulate", problem_file, "--reps", "0"]) == 2
 
 
+@pytest.mark.parametrize("max_steps", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--reps", "3"],
+    ["martingale", "--alpha", "1/2", "--reps", "3"],
+])
+def test_max_steps_below_one_is_usage_error(problem_file, capsys, argv, max_steps):
+    assert main([argv[0], problem_file] + argv[1:] + ["--max-steps", max_steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-steps must be >= 1" in captured.err
+
+
 def test_martingale_ok(tmp_path, capsys):
     obj = dict(THREE_WAY, patterns=["THTH"], initial="THH")
     path = write_problem(tmp_path, obj)
@@ -219,6 +231,18 @@ def test_parse_error_non_list_fields(tmp_path, capsys, key, value):
     path = write_problem(tmp_path, dict(THREE_WAY, **{key: value}))
     assert main(["race", path]) == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("patterns", [{"T": 1, "H": 2}, "HH"]),
+    ("initial", {"H": 0}),
+])
+def test_object_pattern_is_parse_error(tmp_path, capsys, key, value):
+    # Read as the list of its keys, the object would pose the race TH
+    # against HH, or the initial word H.
+    path = write_problem(tmp_path, dict(THREE_WAY, **{key: value}))
+    assert main(["race", path]) == 3
+    assert "not a string or a list of symbols" in capsys.readouterr().err
 
 
 def test_martingale_no_completed_replicate_is_json(problem_file, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,9 @@ from patternrace.oracle import (
     monte_carlo,
 )
 from patternrace.solver import SeriesTable, series, solve_race
+
+import martingale_reference
+from patternrace import oracle as oracle_mod
 
 from conftest import random_problem
 
@@ -140,6 +144,15 @@ def test_solver_oracle_equivalence_random():
 def test_monte_carlo_rejects_zero_reps(three_way):
     with pytest.raises(ValueError):
         monte_carlo(build_automaton(three_way), 0)
+
+
+@pytest.mark.parametrize("max_steps", [0, -5])
+def test_simulators_reject_max_steps_below_one(three_way, fair_coin, max_steps):
+    with pytest.raises(ValueError):
+        monte_carlo(build_automaton(three_way), 10, max_steps=max_steps)
+    with pytest.raises(ValueError):
+        martingale_check(fair_coin.pattern("THH"), None, fair_coin, Fraction(1, 2),
+                         10, max_steps=max_steps)
 
 
 def test_monte_carlo_determinism(three_way):
@@ -271,3 +284,102 @@ def test_martingale_random_instances():
         if rep.truncated == 0 and rep.bound <= 100:
             assert abs(rep.z_score) <= 5
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# martingale_check against the per-step exact reference
+
+def _report_bits(rep):
+    """Every field of a MartingaleReport, floats as their IEEE bytes, so
+    that NaN equals NaN and 0.0 differs from -0.0."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v
+            for v in dataclasses.astuple(rep)]
+
+
+def _both(b, a, alphabet, alpha, reps, seed, max_steps=None):
+    kwargs = {} if max_steps is None else {"max_steps": max_steps}
+    fast = martingale_check(b, a, alphabet, alpha, reps, seed=seed, **kwargs)
+    ref = martingale_reference.martingale_check(b, a, alphabet, alpha, reps,
+                                                seed=seed, **kwargs)
+    assert _report_bits(fast) == _report_bits(ref)
+    return ref
+
+
+def _patch_pattern_prob(monkeypatch, value):
+    for module in (oracle_mod, martingale_reference):
+        monkeypatch.setattr(module, "pattern_prob", lambda b, alphabet: value)
+
+
+@pytest.mark.parametrize("with_initial", [False, True])
+def test_martingale_equals_reference_random(with_initial):
+    rng = random.Random(505 + with_initial)
+    for case in range(6):
+        prob = random_problem(rng, with_initial=with_initial, m=1)
+        alpha = rng.choice([Fraction(1, 3), Fraction(3, 5), Fraction(9, 10)])
+        _both(prob.patterns[0], prob.initial, prob.alphabet, alpha,
+              reps=40, seed=case, max_steps=400)
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 5])
+def test_martingale_equals_reference_truncated(fair_coin, max_steps):
+    ref = _both(fair_coin.pattern("THTH"), fair_coin.pattern("TT"), fair_coin,
+                Fraction(2, 3), reps=60, seed=9, max_steps=max_steps)
+    assert ref.truncated > 0
+
+
+@pytest.mark.parametrize("prob", [None, Fraction(10 ** 6)])
+def test_martingale_equals_reference_absorbed_start(fair_coin, monkeypatch, prob):
+    if prob is not None:
+        _patch_pattern_prob(monkeypatch, prob)
+    ref = _both(fair_coin.pattern("HH"), fair_coin.pattern("THH"), fair_coin,
+                Fraction(1, 2), reps=7, seed=1)
+    assert len(ref.violations) == (0 if prob is None else 1 + 7)
+
+
+def test_martingale_equals_reference_finite_upper_threshold(fair_coin, monkeypatch):
+    # P(b) > 1 puts the bound below 1 / (1 - alpha), so late steps of a
+    # long path exceed it from above while early ones stay inside.
+    _patch_pattern_prob(monkeypatch, Fraction(3, 2))
+    ref = _both(fair_coin.pattern("HTHH"), None, fair_coin, Fraction(3, 5),
+                reps=40, seed=3)
+    steps = {step for _, step in ref.violations}
+    assert steps and min(steps) > 1
+
+
+def test_martingale_equals_reference_late_lower_threshold(fair_coin, monkeypatch):
+    # With P(b) = 1 the bound is exactly 1 / (1 - alpha), so no net gain
+    # exceeds it from above; a heavy live weight still drives it below
+    # -bound after more than one letter.
+    _patch_pattern_prob(monkeypatch, Fraction(1))
+    ref = _both(fair_coin.pattern("HHHH"), None, fair_coin, Fraction(1, 2),
+                reps=80, seed=2)
+    assert any(step > 1 for _, step in ref.violations)
+
+
+def test_martingale_equals_reference_on_the_bound(fair_coin, monkeypatch):
+    # b = HH, alpha = 1/2, bound 1: after one letter the net gain is
+    # exactly 1 (state empty) or exactly -1 (state H), neither > 1.
+    _patch_pattern_prob(monkeypatch, Fraction(2))
+    ref = _both(fair_coin.pattern("HH"), None, fair_coin, Fraction(1, 2),
+                reps=30, seed=4)
+    assert ref.violations
+    assert all(step > 1 for _, step in ref.violations)
+
+
+def test_last_exponent_matches_stepping():
+    # Exact powers and their neighbours are where a float estimate of
+    # log(r) / log(alpha) lands on the wrong side of an integer.
+    def stepping(alpha, r, strict):
+        e = -1
+        while (alpha ** (e + 1) > r) if strict else (alpha ** (e + 1) >= r):
+            e += 1
+        return e
+
+    for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10),
+                  Fraction(1, 10 ** 9), Fraction(10 ** 9 - 1, 10 ** 9)):
+        for e in (0, 1, 2, 5, 17, 40):
+            for r in (alpha ** e, alpha ** e * Fraction(10 ** 12 + 1, 10 ** 12),
+                      alpha ** e * Fraction(10 ** 12 - 1, 10 ** 12), Fraction(3, 2)):
+                for strict in (False, True):
+                    assert (oracle_mod._last_exponent(alpha, r, strict)
+                            == stepping(alpha, r, strict)), (alpha, r, strict)

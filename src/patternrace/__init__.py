@@ -13,21 +13,12 @@ from .model import (
     pattern_prob,
     validate_race,
 )
-from .correlation import (
-    CorrMatrix,
-    correlation,
-    correlation_matrix,
-    initial_correlation_vector,
-    overlap_indicator,
-)
+from .correlation import correlation, overlap_indicator
 from .solver import (
     DegenerateCollectionError,
     RaceSolution,
     SeriesTable,
     series,
-    single_Q,
-    single_expected,
-    single_pgf,
     solve_race,
 )
 from .oracle import (
@@ -43,7 +34,6 @@ from .oracle import (
 
 __all__ = [
     "Alphabet",
-    "CorrMatrix",
     "DegenerateCollectionError",
     "LaurentPoly",
     "MartingaleReport",
@@ -57,9 +47,7 @@ __all__ = [
     "absorbing_solve",
     "build_automaton",
     "correlation",
-    "correlation_matrix",
     "exact_distribution",
-    "initial_correlation_vector",
     "is_subpattern",
     "make_alphabet",
     "martingale_check",
@@ -67,9 +55,6 @@ __all__ = [
     "overlap_indicator",
     "pattern_prob",
     "series",
-    "single_Q",
-    "single_expected",
-    "single_pgf",
     "solve_race",
     "validate_race",
 ]

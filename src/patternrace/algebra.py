@@ -348,9 +348,6 @@ def _as_laurent(x):
     return NotImplemented
 
 
-ONE_MINUS_ALPHA = LaurentPoly({0: 1, 1: -1})
-
-
 # ---------------------------------------------------------------------------
 
 class RationalFunc:

@@ -18,7 +18,6 @@ from . import solver as solver_mod
 from .model import InvalidRaceError, require_valid, validate_race
 from .serialize import (
     ParseError,
-    decimal_str,
     default_digits,
     input_digest,
     load_problem,
@@ -102,19 +101,18 @@ def cmd_race(args) -> int:
         out["oracle"] = oracle_out
         mismatch = not agree
     if args.table:
-        _print_race_table(problem, sol, out)
+        _print_race_table(out)
     else:
         _emit(out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _print_race_table(problem, sol, out) -> None:
-    fmt = problem.alphabet.format_pattern
-    print(f"expected waiting time: {rational_str(sol.expected_tau)}"
-          f" = {decimal_str(sol.expected_tau)}")
+def _print_race_table(out) -> None:
+    print(f"expected waiting time: {out['expected_tau']}"
+          f" = {out['expected_tau_decimal']}")
     print("pattern        win prob        decimal")
-    for p, w in zip(problem.patterns, sol.win_probs):
-        print(f"{fmt(p):<14} {rational_str(w):<15} {decimal_str(w)}")
+    for p, w, dec in zip(out["patterns"], out["win_probs"], out["win_probs_decimal"]):
+        print(f"{p:<14} {w:<15} {dec}")
     if "oracle" in out:
         print(f"oracle agreement: {out['oracle']['agree']}")
     if "series" in out:

@@ -8,12 +8,11 @@ reciprocal probability of that k-letter prefix of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import LaurentPoly
-from .model import Alphabet, Pattern, RaceProblem, require_valid
+from .model import Alphabet, Pattern
 
 
 def overlap_indicator(a: Pattern, b: Pattern, k: int) -> int:
@@ -36,37 +35,3 @@ def correlation(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Laurent
         if a.suffix(k) == b.prefix(k):
             terms[-k] = 1 / prefix_prob
     return LaurentPoly(terms)
-
-
-@dataclass(frozen=True)
-class CorrMatrix:
-    """Grid where entry (i, j) is the correlation of B_j against B_i."""
-
-    m: int
-    entries: tuple
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
-    def at(self, alpha) -> list:
-        """Evaluate every entry at a fixed alpha; plain rational grid."""
-        return [[e(alpha) for e in row] for row in self.entries]
-
-
-def correlation_matrix(problem: RaceProblem) -> CorrMatrix:
-    require_valid(problem)
-    pats = problem.patterns
-    entries = tuple(
-        tuple(correlation(bj, bi, problem.alphabet) for bj in pats)
-        for bi in pats
-    )
-    return CorrMatrix(len(pats), entries)
-
-
-def initial_correlation_vector(problem: RaceProblem) -> tuple:
-    """Per-pattern correlation of the initial pattern; all zero when absent."""
-    require_valid(problem)
-    return tuple(
-        correlation(problem.initial, b, problem.alphabet)
-        for b in problem.patterns
-    )

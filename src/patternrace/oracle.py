@@ -6,7 +6,10 @@ patterns.  build_automaton validates the problem and builds it once;
 every engine then takes the automaton.  It drives an exact dynamic
 program for waiting-time distributions, on integer masses scaled by
 powers of the letter-probability denominator, and an absorbing-chain
-linear solve for win probabilities and expectations.  A seeded Monte
+linear solve for win probabilities and expectations.  That solve runs
+on solver.fraction_free_solve, the package's one elimination kernel,
+but its system comes from the automaton, not from the correlations,
+and has one row per live state, not m + 1.  A seeded Monte
 Carlo simulator and a direct simulation of the casino-net-gain
 martingale provide statistical cross-checks; both sample paths with
 one walk.
@@ -21,11 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .correlation import correlation
 from .model import Alphabet, Pattern, RaceProblem, pattern_prob, require_valid
-from .solver import SeriesTable
+from .solver import SeriesTable, fraction_free_solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -142,35 +145,22 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
     return table
 
 
-def _solve_fractions(matrix: List[List[Fraction]],
-                     rhs: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve matrix @ X = rhs exactly; rhs holds one column per solve."""
-    n = len(matrix)
-    a = [list(matrix[i]) + list(rhs[i]) for i in range(n)]
-    w = len(a[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise OracleError("singular absorbing-chain system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                for c in range(col, w):
-                    a[r][c] -= f * a[col][c]
-    return [row[n:] for row in a]
-
-
 def absorbing_solve(auto: PrefixAutomaton) -> Tuple[tuple, Fraction]:
-    """First-step analysis: exact win probabilities and expected steps."""
+    """First-step analysis: exact win probabilities and expected steps.
+
+    With d the lcm of the letter-probability denominators, the live
+    states reachable from the start give the integer system
+    d (I - P) X = d [absorb into k | 1], whose right-hand columns are
+    the m absorption probabilities and the expected-steps column.  One
+    fraction-free elimination with degree-0 entries solves it, and each
+    answer is the start row's Cramer numerator over det.
+    """
     m = auto.problem.num_patterns
     if auto.start < 0:
         wins = tuple(_ONE if k == -auto.start - 1 else _ZERO for k in range(m))
         return wins, _ZERO
-    probs = auto.problem.alphabet.probs
+    d = auto.problem.alphabet.denominator
+    weights = [int(p * d) for p in auto.problem.alphabet.probs]
 
     reach = [auto.start]
     seen = {auto.start}
@@ -182,20 +172,23 @@ def absorbing_solve(auto: PrefixAutomaton) -> Tuple[tuple, Fraction]:
     idx = {s: i for i, s in enumerate(reach)}
     t = len(reach)
 
-    matrix = [[_ZERO] * t for _ in range(t)]
-    rhs = [[_ZERO] * (m + 1) for _ in range(t)]
+    a = []
     for i, s in enumerate(reach):
-        matrix[i][i] += 1
-        rhs[i][m] = _ONE  # expected-steps column
-        for a, pa in enumerate(probs):
-            code = auto.transitions[s][a]
+        row = [0] * (t + m + 1)
+        row[i] = d
+        row[t + m] = d  # expected-steps column
+        for code, w in zip(auto.transitions[s], weights):
             if code < 0:
-                rhs[i][-code - 1] += pa
+                row[t - code - 1] += w
             else:
-                matrix[i][idx[code]] -= pa
-    sol = _solve_fractions(matrix, rhs)
-    row = sol[idx[auto.start]]
-    return tuple(row[:m]), row[m]
+                row[idx[code]] -= w
+        a.append([[c] if c else [] for c in row])
+    det, ys = fraction_free_solve(a)
+    if not det:
+        raise OracleError("singular absorbing-chain system")
+    # Every entry is a constant polynomial; the start is reach[0].
+    sol = [Fraction(y[0][0] if y[0] else 0, det[0]) for y in ys]
+    return tuple(sol[:m]), sol[m]
 
 
 # ---------------------------------------------------------------------------

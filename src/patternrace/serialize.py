@@ -91,6 +91,8 @@ def parse_problem(text: str) -> RaceProblem:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return problem_from_obj(obj)
 
 
@@ -127,6 +129,8 @@ def load_problem(path: str) -> RaceProblem:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8: {e}") from None
     return parse_problem(text)
 
 

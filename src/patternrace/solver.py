@@ -1,12 +1,15 @@
 """Closed-form race engine.
 
-Single-pattern generating functions from the optional-stopping argument,
-the competing-pattern linear system solved exactly by one fraction-free
+The competing-pattern linear system solved exactly by one fraction-free
 elimination over Z[alpha], and exact power-series extraction of
-waiting-time distributions.  With d the lcm of the letter-probability
-denominators, d**n * P(tau = n, k wins) is an integer, so the series
-recurrence runs on those integers and each table entry becomes a
-Fraction only once, when the SeriesTable is built.
+waiting-time distributions.  A single pattern is the race with m = 1.
+fraction_free_solve is the package's one elimination kernel: the
+absorbing-chain oracle runs on it too, with degree-0 entries.
+
+With d the lcm of the letter-probability denominators,
+d**n * P(tau = n, k wins) is an integer, so the series recurrence runs
+on those integers and each table entry becomes a Fraction only once,
+when the SeriesTable is built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from operator import mul
 from typing import List, Optional, Sequence
 
 from .algebra import (
-    ONE_MINUS_ALPHA,
     LaurentPoly,
     RationalFunc,
     ipoly_exact_div,
@@ -27,15 +29,7 @@ from .algebra import (
     ipoly_sub,
 )
 from .correlation import correlation
-from .model import (
-    Alphabet,
-    Pattern,
-    RaceProblem,
-    Violation,
-    ValidationReport,
-    InvalidRaceError,
-    require_valid,
-)
+from .model import RaceProblem, require_valid
 
 
 class SolverError(RuntimeError):
@@ -60,48 +54,6 @@ class InexactSeriesError(SolverError):
     This signals an internal bug: the scale does not clear the
     denominators of the series.
     """
-
-
-# ---------------------------------------------------------------------------
-# single pattern
-
-def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
-    b.check_alphabet(alphabet)
-    if a is not None:
-        a.check_alphabet(alphabet)
-        head = a.letters[:-1]
-        n = len(b.letters)
-        if n <= len(head) and any(head[i:i + n] == b.letters
-                                  for i in range(len(head) - n + 1)):
-            raise InvalidRaceError(ValidationReport((Violation(
-                "initial-contains-pattern",
-                "pattern occurs inside the initial word before its last letter"),)))
-
-
-def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
-    """E(alpha^tau) for the wait until b, given initial word a."""
-    _check_single(a, b, alphabet)
-    ab = correlation(a, b, alphabet)
-    bb = correlation(b, b, alphabet)
-    num = 1 + ONE_MINUS_ALPHA * ab
-    den = 1 + ONE_MINUS_ALPHA * bb
-    return num.to_rational_func() / den.to_rational_func()
-
-
-def single_Q(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
-    """Generating function of the tail probabilities Pr(tau > n)."""
-    _check_single(a, b, alphabet)
-    ab = correlation(a, b, alphabet)
-    bb = correlation(b, b, alphabet)
-    num = bb - ab
-    den = 1 + ONE_MINUS_ALPHA * bb
-    return num.to_rational_func() / den.to_rational_func()
-
-
-def single_expected(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Fraction:
-    """Expected waiting time for b given initial word a."""
-    _check_single(a, b, alphabet)
-    return correlation(b, b, alphabet)(1) - correlation(a, b, alphabet)(1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +91,19 @@ def _clear_row(row: Sequence[LaurentPoly]):
 
 
 def fraction_free_solve(a: List[list]):
-    """Solve an n x (n+1) augmented system over Z[alpha], in place.
+    """Solve an n x (n+r) augmented system over Z[alpha], in place.
 
-    Entries are integer polynomials (int lists, ascending exponents).
-    Returns (det, y) with det = det A and y_i = det * x_i, the Cramer
-    numerators, all exact; det is [] and y None when A is singular.
-    Bareiss elimination (Bareiss 1968): after step k every a[i][j]
-    (i, j > k) is a (k+2)-minor, so dividing by the previous pivot is
-    exact; back-substitution keeps y in Z[alpha] the same way.
+    Entries are integer polynomials (int lists, ascending exponents); the
+    last r = len(a[0]) - n columns are right-hand sides.  Returns
+    (det, ys) with det = det A and, for each right-hand column c,
+    ys[c][i] = det * x_i, the Cramer numerators, all exact; det is [] and
+    ys None when A is singular.  Bareiss elimination (Bareiss 1968):
+    after step k every a[i][j] (i, j > k) is a (k+2)-minor, so dividing
+    by the previous pivot is exact; back-substitution keeps each y in
+    Z[alpha] the same way.
     """
     n = len(a)
+    width = len(a[0])
     sign = 1
     prev = [1]
     for k in range(n - 1):
@@ -162,7 +117,7 @@ def fraction_free_solve(a: List[list]):
         pivot = pivot_row[k]
         for row in a[k + 1:]:
             f = row[k]
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, width):
                 row[j] = ipoly_exact_div(
                     ipoly_sub(ipoly_mul(pivot, row[j]), ipoly_mul(f, pivot_row[j])),
                     prev)
@@ -171,17 +126,20 @@ def fraction_free_solve(a: List[list]):
     det = a[n - 1][n - 1]
     if not det:
         return [], None
-    y: List[list] = [[]] * n
-    for i in range(n - 1, -1, -1):
-        acc = ipoly_mul(det, a[i][n])
-        for j in range(i + 1, n):
-            acc = ipoly_sub(acc, ipoly_mul(a[i][j], y[j]))
-        y[i] = ipoly_exact_div(acc, a[i][i])
+    ys = []
+    for c in range(n, width):
+        y: List[list] = [[]] * n
+        for i in range(n - 1, -1, -1):
+            acc = ipoly_mul(det, a[i][c])
+            for j in range(i + 1, n):
+                acc = ipoly_sub(acc, ipoly_mul(a[i][j], y[j]))
+            y[i] = ipoly_exact_div(acc, a[i][i])
+        ys.append(y)
     if sign < 0:
         # The last pivot is the determinant of the row-swapped matrix.
         det = [-c for c in det]
-        y = [[-c for c in yi] for yi in y]
-    return det, y
+        ys = [[[-c for c in yi] for yi in y] for y in ys]
+    return det, ys
 
 
 def solve_race(problem: RaceProblem) -> RaceSolution:
@@ -206,9 +164,10 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
         a.append(irow)
         scale *= l
 
-    det, y = fraction_free_solve(a)
+    det, ys = fraction_free_solve(a)
     if not det:
         raise DegenerateCollectionError("system denominator is identically zero")
+    y = ys[0]
 
     det1 = sum(det)
     if det1 == 0:

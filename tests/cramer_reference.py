@@ -6,17 +6,18 @@ separate determinant, and the alpha = 1 intermediates are sums of
 unit-column determinants of the rational correlation grid.  It is slow
 (m^2 + m + 1 determinants per problem) but independent of the single
 fraction-free elimination in `patternrace.solver.solve_race`, which the
-tests compare against it.
+tests compare against it.  The correlation grid and initial-word vector
+it reads are built here as well, since only the tests use them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence
 
 from patternrace.algebra import (
-    ONE_MINUS_ALPHA,
     LaurentPoly,
     RationalFunc,
     ipoly_exact_div,
@@ -24,12 +25,48 @@ from patternrace.algebra import (
     ipoly_sub,
     poly_shift,
 )
-from patternrace.correlation import correlation_matrix, initial_correlation_vector
+from patternrace.correlation import correlation
 from patternrace.model import RaceProblem, require_valid
 from patternrace.solver import DegenerateCollectionError, RaceSolution
 
+from single_reference import ONE_MINUS_ALPHA
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class CorrMatrix:
+    """Grid where entry (i, j) is the correlation of B_j against B_i."""
+
+    m: int
+    entries: tuple
+
+    def entry(self, i: int, j: int) -> LaurentPoly:
+        return self.entries[i][j]
+
+    def at(self, alpha) -> list:
+        """Evaluate every entry at a fixed alpha; plain rational grid."""
+        return [[e(alpha) for e in row] for row in self.entries]
+
+
+def correlation_matrix(problem: RaceProblem) -> CorrMatrix:
+    require_valid(problem)
+    pats = problem.patterns
+    entries = tuple(
+        tuple(correlation(bj, bi, problem.alphabet) for bj in pats)
+        for bi in pats
+    )
+    return CorrMatrix(len(pats), entries)
+
+
+def initial_correlation_vector(problem: RaceProblem) -> tuple:
+    """Per-pattern correlation of the initial pattern; all zero when absent."""
+    require_valid(problem)
+    return tuple(
+        correlation(problem.initial, b, problem.alphabet)
+        for b in problem.patterns
+    )
 
 
 def det_rf(matrix: Sequence[Sequence[RationalFunc]]) -> RationalFunc:

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from patternrace.algebra import ONE_MINUS_ALPHA, LaurentPoly, RationalFunc
+from patternrace.algebra import LaurentPoly, RationalFunc
 from patternrace.cli import main
-from patternrace.correlation import correlation, correlation_matrix
+from patternrace.correlation import correlation
 from patternrace.model import RaceProblem, make_alphabet
 from patternrace.oracle import (
     absorbing_solve,
@@ -22,10 +22,17 @@ from patternrace.oracle import (
     monte_carlo,
 )
 from patternrace.serialize import parse_rational_str, rf_from_obj
-from patternrace.solver import series, single_expected, solve_race
+from patternrace.solver import series, solve_race
 
 from conftest import random_problem
-from cramer_reference import build_system, det_rf, fraction_det, replace_column
+from cramer_reference import (
+    build_system,
+    correlation_matrix,
+    det_rf,
+    fraction_det,
+    replace_column,
+)
+from single_reference import ONE_MINUS_ALPHA, single_expected
 from test_solver import _b_variants, solve_linear_rf
 
 

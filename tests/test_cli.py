@@ -76,6 +76,20 @@ def test_parse_error_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
 
 
+def test_parse_error_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(THREE_WAY).encode("utf-16-le"))
+    assert main(["validate", str(path)]) == 3
+    assert "parse error: " in capsys.readouterr().err
+
+
+def test_parse_error_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["validate", str(path)]) == 3
+    assert "parse error: " in capsys.readouterr().err
+
+
 def test_race_three_way(problem_file, capsys):
     assert main(["race", problem_file]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -112,6 +126,14 @@ def test_race_table_output(problem_file, capsys):
     assert main(["race", problem_file, "--table"]) == 0
     out = capsys.readouterr().out
     assert "5/12" in out and "31/6" in out
+
+
+def test_race_table_honours_digits(problem_file, capsys):
+    assert main(["race", problem_file, "--table", "--digits", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "expected waiting time: 31/6 = 5.17"
+    assert lines[2].split() == ["THH", "5/12", "0.417"]
+    assert lines[4].split() == ["HHT", "1/4", "0.25"]
 
 
 def test_race_json_roundtrip(problem_file, capsys):

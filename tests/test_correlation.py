@@ -4,15 +4,11 @@ from fractions import Fraction
 import pytest
 
 from patternrace.algebra import LaurentPoly
-from patternrace.correlation import (
-    correlation,
-    correlation_matrix,
-    initial_correlation_vector,
-    overlap_indicator,
-)
+from patternrace.correlation import correlation, overlap_indicator
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 
 from conftest import random_problem
+from cramer_reference import correlation_matrix, initial_correlation_vector
 
 
 def test_overlap_indicator_examples(fair_coin):

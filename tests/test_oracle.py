@@ -9,6 +9,7 @@ from patternrace.correlation import correlation
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
     OracleError,
+    PrefixAutomaton,
     absorbing_solve,
     build_automaton,
     exact_distribution,
@@ -17,6 +18,7 @@ from patternrace.oracle import (
 )
 from patternrace.solver import SeriesTable, series, solve_race
 
+import absorbing_reference
 import martingale_reference
 from patternrace import oracle as oracle_mod
 
@@ -121,6 +123,32 @@ def test_absorbing_single_patterns(fair_coin):
                        patterns=(fair_coin.pattern("THTH"),),
                        initial=fair_coin.pattern("THH"))
     assert absorbing_solve(build_automaton(prob))[1] == 20
+
+
+@pytest.mark.parametrize("with_initial", [False, True])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_absorbing_solve_equals_reference(m, with_initial):
+    rng = random.Random(f"absorbing:{m}:{with_initial}")
+    for _ in range(5):
+        auto = build_automaton(random_problem(rng, with_initial=with_initial, m=m))
+        assert absorbing_solve(auto) == absorbing_reference.absorbing_solve(auto)
+
+
+@pytest.mark.parametrize("initial", ["THH", "HTH", "HHT", "TTHTH"])
+def test_absorbing_solve_equals_reference_absorbed_start(fair_coin, three_way, initial):
+    auto = build_automaton(RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
+                                       initial=fair_coin.pattern(initial)))
+    assert auto.start < 0
+    assert absorbing_solve(auto) == absorbing_reference.absorbing_solve(auto)
+
+
+def test_absorbing_solve_singular_chain(three_way):
+    # A live state that every letter maps back to itself is never left.
+    auto = PrefixAutomaton(problem=three_way, states=((),), transitions=((0, 0),),
+                           start=0)
+    for solve in (absorbing_solve, absorbing_reference.absorbing_solve):
+        with pytest.raises(OracleError):
+            solve(auto)
 
 
 def test_solver_oracle_equivalence_random():

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from patternrace.algebra import ONE_MINUS_ALPHA, LaurentPoly, RationalFunc, ipoly_trim
-from patternrace.correlation import correlation_matrix, initial_correlation_vector
+from patternrace.algebra import LaurentPoly, RationalFunc, ipoly_trim
 from patternrace.model import InvalidRaceError, RaceProblem, make_alphabet
 from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
@@ -15,9 +14,6 @@ from patternrace.solver import (
     fraction_free_solve,
     power_series,
     series,
-    single_Q,
-    single_expected,
-    single_pgf,
     solve_race,
 )
 
@@ -26,12 +22,15 @@ import series_reference
 from conftest import random_problem
 from cramer_reference import (
     build_system,
+    correlation_matrix,
     cramer_solve,
     det_laurent,
     det_rf,
     fraction_det,
+    initial_correlation_vector,
     replace_column,
 )
+from single_reference import ONE_MINUS_ALPHA, single_Q, single_expected, single_pgf
 
 ONE = RationalFunc.one()
 
@@ -343,28 +342,34 @@ def test_solution_invariants_random():
 
 
 def test_fraction_free_solve_matches_cofactor_random():
-    # Sparse random systems: zero pivots force row swaps, and some are
-    # singular.
-    rng = random.Random(71)
-    swapped = 0
-    for _ in range(80):
-        n = rng.randint(1, 4)
-        a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-              if rng.random() < 0.6 else [] for _ in range(n + 1)] for _ in range(n)]
-        rf = [[RationalFunc(tuple(e)) for e in row] for row in a]
-        matrix, rhs = [row[:n] for row in rf], [row[n] for row in rf]
-        leading_zero = not a[0][0]
-        det, y = fraction_free_solve(a)
-        expected = cofactor_det(matrix)
-        if expected.is_zero():
-            assert (det, y) == ([], None)
-            continue
-        swapped += leading_zero
-        assert RationalFunc(tuple(det)) == expected
-        for i in range(n):
-            assert RationalFunc(tuple(y[i])) == \
-                cofactor_det(replace_column(matrix, i, rhs))
-    assert swapped
+    # Sparse random systems with r = 1, 2 and 3 right-hand columns: zero
+    # pivots force row swaps, and some are singular.
+    for r in (1, 2, 3):
+        rng = random.Random(70 + r)
+        swapped = singular = 0
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                  if rng.random() < 0.6 else [] for _ in range(n + r)]
+                 for _ in range(n)]
+            rf = [[RationalFunc(tuple(e)) for e in row] for row in a]
+            matrix = [row[:n] for row in rf]
+            leading_zero = not a[0][0]
+            det, ys = fraction_free_solve(a)
+            expected = cofactor_det(matrix)
+            if expected.is_zero():
+                assert (det, ys) == ([], None)
+                singular += 1
+                continue
+            swapped += leading_zero
+            assert RationalFunc(tuple(det)) == expected
+            assert len(ys) == r
+            for c, y in enumerate(ys):
+                rhs = [row[n + c] for row in rf]
+                for i in range(n):
+                    assert RationalFunc(tuple(y[i])) == \
+                        cofactor_det(replace_column(matrix, i, rhs))
+        assert swapped and singular, r
 
 
 def _assert_matches_cramer(problem):
@@ -393,9 +398,7 @@ def test_solve_race_equals_cramer_initial_ending_with_pattern(fair_coin, three_w
 def test_degenerate_collection_raises_on_both_paths(fair_coin, monkeypatch):
     # A repeated pattern makes two rows of the system equal.  Validation
     # rejects it, so it is bypassed to reach the solvers' own guard.
-    for mod in (importlib.import_module("patternrace.solver"),
-                importlib.import_module("patternrace.correlation"),
-                cramer_reference):
+    for mod in (importlib.import_module("patternrace.solver"), cramer_reference):
         monkeypatch.setattr(mod, "require_valid", lambda problem: None)
     hh = fair_coin.pattern("HH")
     for initial in (None, fair_coin.pattern("TH")):

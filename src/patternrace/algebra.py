@@ -1,163 +1,31 @@
 """Exact arithmetic in the variable alpha.
 
-Dense polynomial helpers over Fraction coefficients, sparse Laurent
-polynomials (negative exponents allowed), and canonical rational
-functions.  Everything here is immutable and exact; no floats.
+Dense integer polynomials (int lists), sparse Laurent polynomials
+(negative exponents allowed), and canonical rational functions.
+Everything here is exact; no floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials: tuples of Fraction coefficients, ascending exponents,
-# no trailing zeros.  The zero polynomial is the empty tuple.
+# Dense polynomials over Z: int lists, ascending exponents.  The trimmed
+# form has no trailing zeros; the zero polynomial is the empty list.
 
-def poly(coeffs: Iterable[Scalar]) -> tuple:
-    return _trim([Fraction(c) for c in coeffs])
+def clear_denominators(polys: Sequence[Sequence[Scalar]]):
+    """Scale rational coefficient sequences (ints or Fractions) by the lcm
+    l of all their denominators.  Returns the integer lists and l."""
+    l = lcm(*(c.denominator for p in polys for c in p))
+    return [[c.numerator * (l // c.denominator) for c in p] for p in polys], l
 
-
-def _trim(cs) -> tuple:
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    return tuple(cs[:n])
-
-
-def poly_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def poly_neg(a: tuple) -> tuple:
-    return tuple(-c for c in a)
-
-
-def poly_sub(a: tuple, b: tuple) -> tuple:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def poly_scale(a: tuple, c: Scalar) -> tuple:
-    c = Fraction(c)
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def poly_shift(a: tuple, k: int) -> tuple:
-    """Multiply by alpha**k (k >= 0)."""
-    if not a:
-        return ()
-    return (_ZERO,) * k + a
-
-
-def poly_deg(a: tuple) -> int:
-    return len(a) - 1
-
-
-def poly_eval(a: tuple, x: Scalar) -> Fraction:
-    x = Fraction(x)
-    acc = _ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(a: tuple, b: tuple):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    lb = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1]
-        if c:
-            f = c / lb
-            q[i] = f
-            for j, bc in enumerate(b):
-                rem[i + j] -= f * bc
-    return _trim(q), _trim(rem)
-
-
-def poly_monic(a: tuple) -> tuple:
-    if not a or a[-1] == 1:
-        return a
-    return poly_scale(a, 1 / a[-1])
-
-
-# Polynomial gcd via a primitive pseudo-remainder sequence over the
-# integers; plain Euclid over Q suffers badly from coefficient growth.
-
-def _to_int(a: tuple) -> list:
-    l = lcm(*(c.denominator for c in a)) if a else 1
-    return [int(c * l) for c in a]
-
-
-def _int_primitive(a: list) -> list:
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    if g > 1:
-        return [c // g for c in a]
-    return a
-
-
-def _int_prem(a: list, b: list) -> list:
-    r = list(a)
-    while r and r[-1] == 0:
-        r.pop()
-    lb = b[-1]
-    while len(r) >= len(b):
-        lr = r[-1]
-        off = len(r) - len(b)
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[off + i] -= lr * bc
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd of two polynomials over the rationals."""
-    if not a:
-        return poly_monic(b)
-    if not b:
-        return poly_monic(a)
-    x = _int_primitive(_to_int(a))
-    y = _int_primitive(_to_int(b))
-    while y:
-        x, y = y, _int_primitive(_int_prem(x, y))
-    return poly_monic(tuple(Fraction(c) for c in x))
-
-
-# ---------------------------------------------------------------------------
-# Integer polynomials (plain int lists) used by the fraction-free
-# race solve; exact division is guaranteed by the Bareiss scheme.
 
 def ipoly_trim(a: list) -> list:
     while a and a[-1] == 0:
@@ -201,6 +69,50 @@ def ipoly_exact_div(a: list, b: list) -> list:
     if any(rem):
         raise ArithmeticError("inexact integer polynomial division")
     return ipoly_trim(q)
+
+
+# Polynomial gcd via a primitive pseudo-remainder sequence; plain Euclid
+# over Q suffers badly from coefficient growth.
+
+def _int_primitive(a: list) -> list:
+    g = 0
+    for c in a:
+        g = gcd(g, abs(c))
+    if g > 1:
+        return [c // g for c in a]
+    return a
+
+
+def _int_prem(a: list, b: list) -> list:
+    r = list(a)
+    while r and r[-1] == 0:
+        r.pop()
+    lb = b[-1]
+    while len(r) >= len(b):
+        lr = r[-1]
+        off = len(r) - len(b)
+        r = [lb * c for c in r]
+        for i, bc in enumerate(b):
+            r[off + i] -= lr * bc
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def poly_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two trimmed integer polynomials, up to sign.
+
+    By Gauss's lemma it divides each of them exactly over Z."""
+    if not a:
+        return _int_primitive(b)
+    if not b:
+        return _int_primitive(a)
+    x = _int_primitive(a)
+    y = _int_primitive(b)
+    while y:
+        x, y = y, _int_primitive(_int_prem(x, y))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +237,18 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def coeffs(self, shift: int = 0) -> list:
+        """Ascending coefficients of alpha**shift * self; shift must clear
+        every negative exponent."""
+        out = [0] * (self.max_exp + shift + 1 if self.terms else 0)
+        for e, c in self.terms.items():
+            out[e + shift] = c
+        return out
+
     def to_rational_func(self) -> "RationalFunc":
         """Clear negative exponents: multiply through by alpha**d."""
         d = max(0, -self.min_exp)
-        num = [_ZERO] * (self.max_exp + d + 1 if self.terms else 1)
-        for e, c in self.terms.items():
-            num[e + d] = c
-        return RationalFunc(_trim(num), poly_shift((_ONE,), d))
+        return RationalFunc(self.coeffs(d), [0] * d + [1])
 
     def __repr__(self):
         if not self.terms:
@@ -355,32 +272,34 @@ class RationalFunc:
 
     Canonical means gcd(num, den) = 1 and the denominator is monic, so
     structural equality coincides with equality in the fraction field.
+    num and den are tuples of Fraction coefficients, ascending exponents.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(_ONE,)):
-        num = poly(num)
-        den = poly(den)
+    def __init__(self, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)):
+        """num and den are coefficient sequences of ints or Fractions.
+
+        Both are cleared to Z[alpha] and divided exactly by their
+        primitive gcd; the monic Fraction parts are built once."""
+        (num, den), _ = clear_denominators((num, den))
+        num, den = ipoly_trim(num), ipoly_trim(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = (_ONE,)
+            den = [1]
         else:
             g = poly_gcd(num, den)
-            if poly_deg(g) > 0:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
-            lc = den[-1]
-            if lc != 1:
-                num = poly_scale(num, 1 / lc)
-                den = poly_scale(den, 1 / lc)
-        self.num = num
-        self.den = den
+            if len(g) > 1:
+                num = ipoly_exact_div(num, g)
+                den = ipoly_exact_div(den, g)
+        lc = den[-1]
+        self.num = tuple(Fraction(c, lc) for c in num)
+        self.den = tuple(Fraction(c, lc) for c in den)
 
     @classmethod
     def const(cls, c: Scalar) -> "RationalFunc":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def zero(cls) -> "RationalFunc":
@@ -388,23 +307,26 @@ class RationalFunc:
 
     @classmethod
     def one(cls) -> "RationalFunc":
-        return cls((_ONE,))
+        return cls((1,))
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def _int_parts(self):
+        """(N, D), integer polynomials with N / D = self."""
+        return clear_denominators((self.num, self.den))[0]
 
     def __add__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RationalFunc(num, poly_mul(self.den, other.den))
+        return self - (-other)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = object.__new__(RationalFunc)
-        out.num = poly_neg(self.num)
+        out.num = tuple(-c for c in self.num)
         out.den = self.den
         return out
 
@@ -412,16 +334,18 @@ class RationalFunc:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        (a, b), (c, d) = self._int_parts(), other._int_parts()
+        return RationalFunc(ipoly_sub(ipoly_mul(a, d), ipoly_mul(c, b)), ipoly_mul(b, d))
 
     def __rsub__(self, other):
-        return _as_rf(other) + (-self)
+        return _as_rf(other) - self
 
     def __mul__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        (a, b), (c, d) = self._int_parts(), other._int_parts()
+        return RationalFunc(ipoly_mul(a, c), ipoly_mul(b, d))
 
     __rmul__ = __mul__
 
@@ -431,16 +355,18 @@ class RationalFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
+        (a, b), (c, d) = self._int_parts(), other._int_parts()
+        return RationalFunc(ipoly_mul(a, d), ipoly_mul(b, c))
 
     def __rtruediv__(self, other):
         return _as_rf(other) / self
 
     def __call__(self, x: Scalar) -> Fraction:
-        d = poly_eval(self.den, x)
+        x = Fraction(x)
+        d = sum(c * x ** i for i, c in enumerate(self.den))
         if not d:
             raise ZeroDivisionError(f"denominator vanishes at alpha = {x}")
-        return poly_eval(self.num, x) / d
+        return sum(c * x ** i for i, c in enumerate(self.num)) / d
 
     def __eq__(self, other):
         other = _as_rf(other)

@@ -17,8 +17,8 @@ from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .model import InvalidRaceError, require_valid, validate_race
 from .serialize import (
+    DEFAULT_DIGITS,
     ParseError,
-    default_digits,
     input_digest,
     load_problem,
     parse_pattern_spec,
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", dest="table", action="store_false", default=False)
     fmt.add_argument("--table", dest="table", action="store_true")
     p.add_argument("--digits", type=int, default=None,
-                   help=f"decimal display precision (default {default_digits()})")
+                   help=f"decimal display precision (default {DEFAULT_DIGITS})")
     p.set_defaults(func=cmd_race)
 
     p = sub.add_parser("correlate", help="print a correlation polynomial")

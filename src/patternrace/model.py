@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-# Soft caps; the cost of the exact race solve grows with the number and
-# length of the patterns.  Overridable via validate_race arguments.
+# Caps on the number and length of the patterns; the cost of the exact
+# race solve grows with both.
 MAX_PATTERN_LEN = 64
 MAX_PATTERNS = 16
 
@@ -205,25 +205,24 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_race(problem: RaceProblem,
-                  max_len: int = MAX_PATTERN_LEN,
-                  max_patterns: int = MAX_PATTERNS) -> ValidationReport:
+def validate_race(problem: RaceProblem) -> ValidationReport:
     """Check every race invariant; all violations are collected, none thrown."""
     out = []
     pats = problem.patterns
     if not pats:
         out.append(Violation("no-patterns", "at least one competing pattern required"))
-    if len(pats) > max_patterns:
+    if len(pats) > MAX_PATTERNS:
         out.append(Violation("too-many-patterns",
-                             f"{len(pats)} patterns exceeds cap {max_patterns}"))
+                             f"{len(pats)} patterns exceeds cap {MAX_PATTERNS}"))
     for k, p in enumerate(pats):
         try:
             p.check_alphabet(problem.alphabet)
         except PatternError as e:
             out.append(Violation("bad-pattern", f"B{k + 1}: {e}", (k,)))
-        if len(p) > max_len:
+        if len(p) > MAX_PATTERN_LEN:
             out.append(Violation("pattern-too-long",
-                                 f"B{k + 1} length {len(p)} exceeds cap {max_len}", (k,)))
+                                 f"B{k + 1} length {len(p)} exceeds cap {MAX_PATTERN_LEN}",
+                                 (k,)))
     for i, p in enumerate(pats):
         for j, q in enumerate(pats):
             if i != j and is_subpattern(p, q):

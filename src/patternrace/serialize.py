@@ -10,7 +10,6 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
-import os
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -27,23 +26,11 @@ from .model import (
 )
 from .solver import RaceSolution, SeriesTable
 
-DIGITS_ENV = "PATTERNRACE_DIGITS"
 DEFAULT_DIGITS = 12
 
 
 class ParseError(ValueError):
     pass
-
-
-def default_digits() -> int:
-    raw = os.environ.get(DIGITS_ENV)
-    if raw is None:
-        return DEFAULT_DIGITS
-    try:
-        n = int(raw)
-    except ValueError:
-        return DEFAULT_DIGITS
-    return n if n > 0 else DEFAULT_DIGITS
 
 
 def rational_str(x: Fraction) -> str:
@@ -69,7 +56,7 @@ def parse_rational_str(text: Union[str, int]) -> Fraction:
 
 
 def decimal_str(x: Fraction, digits: Optional[int] = None) -> str:
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     ctx = decimal.Context(prec=digits)
     d = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
     return str(d)
@@ -89,7 +76,9 @@ def parse_pattern_spec(spec, alphabet: Alphabet) -> Pattern:
 def parse_problem(text: str) -> RaceProblem:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer literal past
+        # sys.get_int_max_str_digits()
         raise ParseError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
@@ -171,7 +160,7 @@ def solution_to_obj(problem: RaceProblem, sol: RaceSolution,
                     digits: Optional[int] = None,
                     series_table: Optional[SeriesTable] = None,
                     digest: Optional[str] = None) -> dict:
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     fmt = problem.alphabet.format_pattern
     out = {
         "metadata": {

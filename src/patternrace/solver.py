@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
 from operator import mul
 from typing import List, Optional, Sequence
 
 from .algebra import (
     LaurentPoly,
     RationalFunc,
+    clear_denominators,
     ipoly_exact_div,
     ipoly_mul,
     ipoly_sub,
@@ -80,14 +80,7 @@ def _clear_row(row: Sequence[LaurentPoly]):
     denominators, so that every entry is an integer polynomial (an int
     list, ascending exponents).  Returns the integer row and l."""
     d = max([0] + [-e for lp in row for e in lp.terms])
-    l = lcm(*(c.denominator for lp in row for c in lp.terms.values()))
-    irow = []
-    for lp in row:
-        coeffs = [0] * (max(lp.terms) + d + 1 if lp.terms else 0)
-        for e, c in lp.terms.items():
-            coeffs[e + d] = int(c * l)
-        irow.append(coeffs)
-    return irow, l
+    return clear_denominators([lp.coeffs(d) for lp in row])
 
 
 def fraction_free_solve(a: List[list]):
@@ -206,11 +199,10 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
     if not rf.den or rf.den[0] == 0:
         raise ZeroConstantDenominatorError(
             "denominator has zero constant term; no Taylor expansion at 0")
-    l = lcm(*(c.denominator for c in rf.num + rf.den))
-    num = [int(c * l) for c in rf.num]
-    e0 = int(rf.den[0] * l)
+    (num, den), _ = clear_denominators((rf.num, rf.den))
+    e0 = den[0]
     # E_j * d**j for j = 1, 2, ..., nearest term first.
-    den = [int(c * l) * d ** j for j, c in enumerate(rf.den[1:], 1)]
+    den = [c * d ** j for j, c in enumerate(den[1:], 1)]
     out: list = []
     scale = 1
     for i in range(n + 1):

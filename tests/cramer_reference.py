@@ -23,7 +23,6 @@ from patternrace.algebra import (
     ipoly_exact_div,
     ipoly_mul,
     ipoly_sub,
-    poly_shift,
 )
 from patternrace.correlation import correlation
 from patternrace.model import RaceProblem, require_valid
@@ -166,8 +165,7 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> RationalFunc:
     det = _bareiss(imat)
     if not det:
         return RationalFunc.zero()
-    return RationalFunc(tuple(Fraction(c) for c in det),
-                        poly_shift((scale,), shift))
+    return RationalFunc(det, [0] * shift + [scale])
 
 
 def _bareiss(mat: List[List[List[int]]]) -> List[int]:

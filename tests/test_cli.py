@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patternrace import cli
 from patternrace import model as model_mod
@@ -86,6 +92,13 @@ def test_parse_error_not_utf8(tmp_path, capsys):
 def test_parse_error_deep_nesting(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
+    assert main(["validate", str(path)]) == 3
+    assert "parse error: " in capsys.readouterr().err
+
+
+def test_parse_error_huge_integer_literal(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(THREE_WAY, initial=0)).replace("0}", "9" * 5000 + "}"))
     assert main(["validate", str(path)]) == 3
     assert "parse error: " in capsys.readouterr().err
 
@@ -243,6 +256,14 @@ def test_race_alpha_at_pole(tmp_path, capsys):
     assert "pole" in capsys.readouterr().err
 
 
+def test_digits_flag_is_the_only_precision_setting(problem_file, capsys, monkeypatch):
+    monkeypatch.setenv("PATTERNRACE_DIGITS", "3")
+    assert main(["race", problem_file]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["win_probs_decimal"] == ["0.416666666667", "0.333333333333", "0.25"]
+    assert out["expected_tau_decimal"] == "5.16666666667"
+
+
 def test_race_negative_digits(problem_file, capsys):
     assert main(["race", problem_file, "--digits", "-3"]) == 2
     assert "--digits" in capsys.readouterr().err
@@ -386,3 +407,99 @@ def test_boolean_is_not_a_rational(tmp_path, capsys, value):
         "alphabet": [{"symbol": "a", "prob": value}], "patterns": ["aa"]})
     assert main(["race", path]) == 3
     assert "not accepted as rationals" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated JSON shapes and flag values: any
+# input exits 0, 2, 3, 4 or 5 and never prints a traceback.  Sizes stay
+# small: at most 3 patterns of at most 6 letters, series and reps <= 20.
+
+HUGE = "<huge>"  # stands for a 5,000-digit integer, past json's default limit
+JUNK = ["", "1/0", "1e3", "9" * 5000]
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(10 ** 30, 10 ** 40),
+    st.floats(), st.sampled_from(["", "H", "HT", "1/3", "1/0", "-1/2", HUGE]))
+json_values = st.recursive(
+    scalars,
+    lambda c: st.lists(c, max_size=3)
+    | st.dictionaries(st.sampled_from(["H", "symbol", "prob"]), c, max_size=2),
+    max_leaves=5)
+words = st.text("HT", min_size=1, max_size=6)
+letters = st.fixed_dictionaries({
+    "symbol": st.sampled_from(["H", "T"]) | scalars,
+    "prob": st.sampled_from(["1/2", "1/3", "2/3"]) | scalars})
+
+
+def replace(problem, key, value):
+    """problem with key (or the whole problem, for None) set to value."""
+    return value if key is None else dict(problem, **{key: value})
+
+
+well_formed = st.fixed_dictionaries(
+    {"alphabet": st.sampled_from([THREE_WAY["alphabet"], [{"symbol": "H", "prob": "1/3"},
+                                                          {"symbol": "T", "prob": "2/3"}]]),
+     "patterns": st.lists(words, min_size=1, max_size=3)},
+    optional={"initial": words})
+shapes = st.one_of(
+    json_values, st.lists(letters, max_size=3),
+    st.lists(words | st.lists(st.sampled_from("HT"), max_size=6) | json_values,
+             min_size=1, max_size=3))
+# Half well formed; otherwise one part, or the whole problem, of any shape.
+problems = well_formed | st.builds(
+    replace, well_formed, st.sampled_from(["alphabet", "patterns", "initial", None]), shapes)
+
+
+def flag(name, values):
+    """[name, value] for a value from values (None: the flag is absent) or
+    JUNK; values come simplest first, since Hypothesis favours the head."""
+    return st.sampled_from([[] if v is None else [name, str(v)] for v in values + JUNK])
+
+
+def command(name, *flags):
+    return st.tuples(*flags).map(lambda fs: [name] + [a for f in fs for a in f])
+
+
+alphas = ["9/10", "7/8", "3/4", "1/2", "1/3", "1", "2", "0", "-1"]
+reps, max_steps = [*range(1, 21), 0, -1], [*range(1, 41), 0, -1]
+argvs = st.one_of(
+    command("race", flag("--series", [None, *range(21), -1]),
+            flag("--digits", [None, *range(1, 31), 0, -1]), flag("--alpha", [None] + alphas),
+            st.sampled_from([[], ["--oracle"], ["--table"]])),
+    command("simulate", flag("--reps", reps), flag("--seed", [None, 0, 1, -1, 10 ** 20]),
+            flag("--max-steps", [None] + max_steps)),
+    command("martingale", flag("--pattern-index", [None, 0, 1, 2, 3, -1]),
+            flag("--alpha", alphas), flag("--reps", reps), flag("--max-steps", [None] + max_steps)),
+    command("correlate", flag("--a", ["H", "HT", "THH", "X"]), flag("--b", ["T", "HTH", "HH"]),
+            flag("--alpha", [None] + alphas)),
+    command("validate"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=problems, argv=argvs)
+@example(problem=dict(THREE_WAY, patterns=[{"H": 1}, "HH"]), argv=["race"])
+@example(problem=dict(THREE_WAY, initial={"H": 0}), argv=["race"])
+@example(problem=dict(THREE_WAY, initial=HUGE), argv=["validate"])
+@example(problem=THREE_WAY, argv=["simulate", "--reps", "3", "--max-steps", "0"])
+def test_exit_code_contract(tmp_path_factory, problem, argv):
+    path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    path.write_text(json.dumps(problem).replace(json.dumps(HUGE), "9" * 5000))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([argv[0], str(path)] + argv[1:])
+        except SystemExit as e:  # argparse rejects a flag
+            code = e.code
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import json, sys; before = set(sys.modules); import patternrace.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    top = {name.split(".")[0] for name in json.loads(run.stdout)}
+    assert "patternrace" in top
+    assert top - {"patternrace"} <= sys.stdlib_module_names

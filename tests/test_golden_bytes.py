@@ -1,8 +1,12 @@
-"""Byte identity of `race FILE --series 600 --oracle` on two fixed problems.
+"""Byte identity of `race FILE --series 600 --oracle` on two fixed problems,
+and of `race FILE --alpha 9/10` on the one with an initial word.
 
-The sha256 of stdout was recorded with the term-by-term Fraction series
-and DP; the integer-scaled kernels must print the same bytes.  The input
-digest in the output hashes the file's bytes, not its path.
+The series sha256s were recorded with the term-by-term Fraction series
+and DP; the integer-scaled kernels must print the same bytes.  The
+--alpha sha256 was recorded with rational functions canonicalised and
+evaluated on Fraction polynomials; the integer canonicalisation must
+print the same bytes.  The input digest in the output hashes the file's
+bytes, not its path.
 """
 
 import hashlib
@@ -29,13 +33,30 @@ PROBLEMS = {
 }
 
 
+def race_stdout(tmp_path, capsys, name, argv):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(PROBLEMS[name][0]))
+    assert main(["race", str(path)] + argv) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_race_series_oracle_stdout_bytes(tmp_path, capsys, name):
-    obj, digest = PROBLEMS[name]
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(obj))
-    assert main(["race", str(path), "--series", "600", "--oracle"]) == 0
-    out = capsys.readouterr().out
+    out = race_stdout(tmp_path, capsys, name, ["--series", "600", "--oracle"])
     oracle = json.loads(out)["oracle"]
     assert oracle["agree"] and oracle["series_agree"]
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBLEMS[name][1]
+
+
+# problem name: (alpha, sha256 of stdout)
+ALPHA_CASES = {
+    "initial": ("9/10", "7026d09d190819fa8b0bcd2a16dd1b2a2ecf9d4153582d3fad25cef8015bde0a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_CASES))
+def test_race_alpha_stdout_bytes(tmp_path, capsys, name):
+    alpha, digest = ALPHA_CASES[name]
+    out = race_stdout(tmp_path, capsys, name, ["--alpha", alpha])
+    assert json.loads(out)["at_alpha"]["alpha"] == alpha
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -124,9 +125,12 @@ def test_validate_rejects_empty_collection(fair_coin):
 
 
 def test_validate_caps(fair_coin):
-    long_pat = Pattern((0,) * 70)
-    report = validate_race(RaceProblem(alphabet=fair_coin, patterns=(long_pat,)))
-    assert any(v.code == "pattern-too-long" for v in report.violations)
-    report = validate_race(RaceProblem(alphabet=fair_coin, patterns=(long_pat,)),
-                           max_len=100)
-    assert report.ok
+    def report(*patterns):
+        return validate_race(RaceProblem(alphabet=fair_coin, patterns=patterns))
+
+    assert report(Pattern((0,) * 64)).ok
+    assert [v.code for v in report(Pattern((0,) * 65)).violations] == ["pattern-too-long"]
+    # distinct words of one length never contain each other
+    assert report(*(Pattern(w) for w in product((0, 1), repeat=4))).ok
+    many = [Pattern(w) for w in product((0, 1), repeat=5)][:17]
+    assert [v.code for v in report(*many).violations] == ["too-many-patterns"]

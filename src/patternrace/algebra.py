@@ -1,7 +1,8 @@
 """Exact arithmetic in the variable alpha.
 
 Dense integer polynomials (int lists), sparse Laurent polynomials
-(negative exponents allowed), and canonical rational functions.
+(negative exponents allowed) held as data, and canonical rational
+functions, the one field the package computes in.
 Everything here is exact; no floats.
 """
 
@@ -121,7 +122,9 @@ class LaurentPoly:
     """Sparse polynomial in alpha allowing negative exponents.
 
     Canonical form: only nonzero coefficients are stored, so equality
-    of term maps is equality of values.
+    of term maps is equality of values.  It carries no arithmetic:
+    build it, evaluate it, read its coefficients, or convert it with
+    to_rational_func to compute with it.
     """
 
     __slots__ = ("terms",)
@@ -145,17 +148,6 @@ class LaurentPoly:
     def zero(cls) -> "LaurentPoly":
         return cls()
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, exponent: int, coeff: Scalar) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def min_exp(self) -> int:
         if not self.terms:
@@ -168,60 +160,6 @@ class LaurentPoly:
             return 0
         return max(self.terms)
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by alpha**k (k may be negative)."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = t.get(e, _ZERO) + c
-            if acc:
-                t[e] = acc
-            else:
-                t.pop(e, None)
-        out = LaurentPoly()
-        out.terms = t
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentPoly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                acc = t.get(e, _ZERO) + c1 * c2
-                if acc:
-                    t[e] = acc
-                else:
-                    t.pop(e, None)
-        out = LaurentPoly()
-        out.terms = t
-        return out
-
-    __rmul__ = __mul__
-
     def __call__(self, x: Scalar) -> Fraction:
         x = Fraction(x)
         if not x and self.min_exp < 0:
@@ -229,8 +167,7 @@ class LaurentPoly:
         return sum((c * x ** e for e, c in self.terms.items()), _ZERO)
 
     def __eq__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
 
@@ -255,14 +192,6 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         parts = [f"{c}*a^{e}" for e, c in sorted(self.terms.items())]
         return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-def _as_laurent(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly({0: x})
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +315,4 @@ def _as_rf(x):
         return x
     if isinstance(x, (int, Fraction)):
         return RationalFunc.const(x)
-    if isinstance(x, LaurentPoly):
-        return x.to_rational_func()
     return NotImplemented

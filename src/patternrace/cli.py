@@ -11,20 +11,18 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .model import InvalidRaceError, require_valid, validate_race
 from .serialize import (
     DEFAULT_DIGITS,
+    MAX_DIGITS,
     ParseError,
-    input_digest,
     load_problem,
     parse_pattern_spec,
     parse_rational_str,
     rational_str,
-    series_to_obj,
     solution_to_obj,
 )
 
@@ -56,21 +54,22 @@ def _emit_report(report) -> int:
 
 
 def cmd_validate(args) -> int:
-    return _emit_report(validate_race(load_problem(args.input)))
+    problem, _ = load_problem(args.input)
+    return _emit_report(validate_race(problem))
 
 
 def cmd_race(args) -> int:
     if args.series is not None and args.series < 0:
         raise UsageError("--series horizon must be >= 0")
-    if args.digits is not None and args.digits < 1:
-        raise UsageError("--digits must be >= 1")
-    problem = load_problem(args.input)
+    if args.digits is not None and not 1 <= args.digits <= MAX_DIGITS:
+        raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
+    problem, digest = load_problem(args.input)
     sol = solver_mod.solve_race(problem)
     table = None
     if args.series is not None:
         table = solver_mod.series(problem, args.series, sol)
     out = solution_to_obj(problem, sol, digits=args.digits,
-                          series_table=table, digest=input_digest(args.input))
+                          series_table=table, digest=digest)
     if args.alpha is not None:
         alpha = parse_rational_str(args.alpha)
         try:
@@ -121,7 +120,7 @@ def _print_race_table(out) -> None:
 
 
 def cmd_correlate(args) -> int:
-    problem = load_problem(args.input)
+    problem, _ = load_problem(args.input)
     a = parse_pattern_spec(args.a, problem.alphabet)
     b = parse_pattern_spec(args.b, problem.alphabet)
     from .correlation import correlation
@@ -150,7 +149,7 @@ def _check_sampling_args(args) -> None:
 
 def cmd_simulate(args) -> int:
     _check_sampling_args(args)
-    problem = load_problem(args.input)
+    problem, _ = load_problem(args.input)
     auto = oracle_mod.build_automaton(problem)
     report = oracle_mod.monte_carlo(auto, args.reps, seed=args.seed,
                                     max_steps=args.max_steps)
@@ -191,7 +190,7 @@ def cmd_martingale(args) -> int:
     alpha = parse_rational_str(args.alpha)
     if not 0 < alpha < 1:
         raise UsageError("--alpha must lie strictly inside (0, 1)")
-    problem = load_problem(args.input)
+    problem, _ = load_problem(args.input)
     # martingale_check sees one pattern only; the whole race is checked here.
     require_valid(problem)
     if not 0 <= args.pattern_index < problem.num_patterns:
@@ -232,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", type=int, help="emit the exact distribution up to N")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the automaton oracle")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="table", action="store_false", default=False)
-    fmt.add_argument("--table", dest="table", action="store_true")
+    p.add_argument("--table", action="store_true",
+                   help="print a plain-text summary instead of JSON")
     p.add_argument("--digits", type=int, default=None,
-                   help=f"decimal display precision (default {DEFAULT_DIGITS})")
+                   help=f"decimal display precision, 1 to {MAX_DIGITS}"
+                   f" (default {DEFAULT_DIGITS})")
     p.set_defaults(func=cmd_race)
 
     p = sub.add_parser("correlate", help="print a correlation polynomial")

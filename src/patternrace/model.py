@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import decimal
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -111,10 +111,9 @@ class Alphabet:
             tokens = list(spec)
         return Pattern(tuple(self.index(t) for t in tokens))
 
-    def format_pattern(self, p: "Pattern", sep: str = "") -> str:
-        if self.single_char:
-            return sep.join(self.symbols[i] for i in p.letters)
-        return (sep or " ").join(self.symbols[i] for i in p.letters)
+    def format_pattern(self, p: "Pattern") -> str:
+        sep = "" if self.single_char else " "
+        return sep.join(self.symbols[i] for i in p.letters)
 
 
 def make_alphabet(entries: Iterable) -> Alphabet:

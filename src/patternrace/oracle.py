@@ -278,14 +278,6 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # martingale simulation
 
-class MartingaleBoundViolation(RuntimeError):
-    def __init__(self, rep: int, step: int, value: Fraction, bound: Fraction):
-        super().__init__(
-            f"net gain {value} exceeds bound {bound} at replicate {rep}, step {step}")
-        self.rep = rep
-        self.step = step
-
-
 @dataclass(frozen=True)
 class MartingaleReport:
     alpha: Fraction

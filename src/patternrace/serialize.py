@@ -11,7 +11,7 @@ import decimal
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from . import __version__
 from .algebra import RationalFunc
@@ -27,6 +27,9 @@ from .model import (
 from .solver import RaceSolution, SeriesTable
 
 DEFAULT_DIGITS = 12
+# Largest decimal display precision accepted; the decimal context
+# allocates memory in proportion to it.
+MAX_DIGITS = 10_000
 
 
 class ParseError(ValueError):
@@ -112,20 +115,20 @@ def problem_from_obj(obj) -> RaceProblem:
     return RaceProblem(alphabet=alphabet, patterns=patterns, initial=init_pattern)
 
 
-def load_problem(path: str) -> RaceProblem:
+def load_problem(path: str) -> Tuple[RaceProblem, str]:
+    """The problem in the file at path, and the sha256 hex digest of the
+    bytes it was parsed from.  The file is read once, so a pipe or a
+    file replaced meanwhile cannot give a digest of other bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8: {e}") from None
-    return parse_problem(text)
-
-
-def input_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return parse_problem(text), hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

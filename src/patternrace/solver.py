@@ -149,7 +149,7 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     alphabet, pats = problem.alphabet, problem.patterns
     a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
     scale = 1
-    minus_one = LaurentPoly.term(0, -1)
+    minus_one = LaurentPoly({0: -1})
     for bi in pats:
         row = ([minus_one] + [correlation(bj, bi, alphabet) for bj in pats]
                + [correlation(problem.initial, bi, alphabet)])
@@ -256,9 +256,6 @@ class SeriesTable:
             totals=tuple(map(Fraction, totals, powers)),
             tail_mass=Fraction(powers[-1] - absorbed, powers[-1]),
         )
-
-    def row(self, n: int) -> tuple:
-        return tuple(col[n] for col in self.per_pattern)
 
 
 def series(problem: RaceProblem, n: int,

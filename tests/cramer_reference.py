@@ -227,8 +227,8 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
     v = initial_correlation_vector(problem)
     m = problem.num_patterns
     rows = [list(r) for r in corr.entries]
-    ones_col = [LaurentPoly.one()] * m
-    has_initial = any(not lp.is_zero() for lp in v)
+    ones_col = [LaurentPoly({0: 1})] * m
+    has_initial = any(lp.terms for lp in v)
 
     det_b = det_laurent(rows)
     det_b_ones = [det_laurent(replace_column(rows, j, ones_col)) for j in range(m)]

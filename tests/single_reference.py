@@ -41,21 +41,19 @@ def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
 def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
     """E(alpha^tau) for the wait until b, given initial word a."""
     _check_single(a, b, alphabet)
-    ab = correlation(a, b, alphabet)
-    bb = correlation(b, b, alphabet)
-    num = 1 + ONE_MINUS_ALPHA * ab
-    den = 1 + ONE_MINUS_ALPHA * bb
-    return num.to_rational_func() / den.to_rational_func()
+    om = ONE_MINUS_ALPHA.to_rational_func()
+    ab = correlation(a, b, alphabet).to_rational_func()
+    bb = correlation(b, b, alphabet).to_rational_func()
+    return (1 + om * ab) / (1 + om * bb)
 
 
 def single_Q(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
     """Generating function of the tail probabilities Pr(tau > n)."""
     _check_single(a, b, alphabet)
-    ab = correlation(a, b, alphabet)
-    bb = correlation(b, b, alphabet)
-    num = bb - ab
-    den = 1 + ONE_MINUS_ALPHA * bb
-    return num.to_rational_func() / den.to_rational_func()
+    om = ONE_MINUS_ALPHA.to_rational_func()
+    ab = correlation(a, b, alphabet).to_rational_func()
+    bb = correlation(b, b, alphabet).to_rational_func()
+    return (bb - ab) / (1 + om * bb)
 
 
 def single_expected(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Fraction:

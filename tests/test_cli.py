@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from patternrace.cli import main
 from patternrace.algebra import RationalFunc
 from patternrace.model import ValidationReport
 from patternrace.serialize import (
+    MAX_DIGITS,
     parse_problem,
     parse_rational_str,
     rational_str,
@@ -269,6 +271,17 @@ def test_race_negative_digits(problem_file, capsys):
     assert "--digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits, code", [(MAX_DIGITS, 0), (MAX_DIGITS + 1, 2), (10 ** 18, 2)])
+def test_race_digits_bound(problem_file, capsys, digits, code):
+    assert main(["race", problem_file, "--digits", str(digits)]) == code
+    if code:
+        assert capsys.readouterr().err == \
+            f"usage error: --digits must be between 1 and {MAX_DIGITS}\n"
+    else:
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["expected_tau_decimal"]) == MAX_DIGITS + 1  # 5.1666...7
+
+
 @pytest.mark.parametrize("key, value", [("alphabet", 5), ("patterns", "HT")])
 def test_parse_error_non_list_fields(tmp_path, capsys, key, value):
     path = write_problem(tmp_path, dict(THREE_WAY, **{key: value}))
@@ -492,6 +505,16 @@ def test_exit_code_contract(tmp_path_factory, problem, argv):
             code = e.code
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
+
+
+def test_race_digest_hashes_the_bytes_read_from_stdin():
+    data = json.dumps(THREE_WAY).encode()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-m", "patternrace.cli", "race", "/dev/stdin"],
+                         input=data, capture_output=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    out = json.loads(run.stdout)
+    assert out["metadata"]["input_digest"] == hashlib.sha256(data).hexdigest()
 
 
 def test_cli_imports_only_the_standard_library():

@@ -1,0 +1,34 @@
+"""Every name a module of the package imports is referenced in it.
+
+The package's __init__.py is skipped: its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import patternrace
+
+MODULES = sorted(p for p in Path(patternrace.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused

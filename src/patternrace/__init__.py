@@ -13,7 +13,7 @@ from .model import (
     pattern_prob,
     validate_race,
 )
-from .correlation import correlation, overlap_indicator
+from .correlation import correlation
 from .solver import (
     DegenerateCollectionError,
     RaceSolution,
@@ -52,7 +52,6 @@ __all__ = [
     "make_alphabet",
     "martingale_check",
     "monte_carlo",
-    "overlap_indicator",
     "pattern_prob",
     "series",
     "solve_race",

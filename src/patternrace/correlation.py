@@ -1,4 +1,4 @@
-"""Suffix/prefix overlap indicators and correlation polynomials.
+"""Correlation polynomials of one pattern against another.
 
 The correlation of a seen word A against an awaited word B collects one
 term per overlap length k where the last k letters of A equal the first
@@ -13,13 +13,6 @@ from typing import Optional
 
 from .algebra import LaurentPoly
 from .model import Alphabet, Pattern
-
-
-def overlap_indicator(a: Pattern, b: Pattern, k: int) -> int:
-    """1 iff the last k letters of a equal the first k letters of b."""
-    if not 1 <= k <= min(len(a), len(b)):
-        raise ValueError(f"overlap length {k} out of range 1..{min(len(a), len(b))}")
-    return 1 if a.suffix(k) == b.prefix(k) else 0
 
 
 def correlation(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> LaurentPoly:

@@ -177,11 +177,20 @@ def _occurs(needle: tuple, haystack: tuple) -> bool:
 
 @dataclass(frozen=True)
 class RaceProblem:
-    """Alphabet, optional initial pattern, and competing patterns."""
+    """Alphabet, optional initial pattern, and competing patterns.
+
+    Valid by construction: the constructor runs validate_race and raises
+    InvalidRaceError, carrying the whole report, on any violation, so
+    every engine can take a RaceProblem as checked."""
 
     alphabet: Alphabet
     patterns: tuple
     initial: Optional[Pattern] = None
+
+    def __post_init__(self):
+        report = validate_race(self)
+        if not report.ok:
+            raise InvalidRaceError(report)
 
     @property
     def num_patterns(self) -> int:
@@ -242,9 +251,3 @@ def validate_race(problem: RaceProblem) -> ValidationReport:
                     f"B{k + 1} occurs inside the initial pattern before its last letter",
                     (k,)))
     return ValidationReport(tuple(out))
-
-
-def require_valid(problem: RaceProblem) -> None:
-    report = validate_race(problem)
-    if not report.ok:
-        raise InvalidRaceError(report)

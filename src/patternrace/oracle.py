@@ -2,17 +2,17 @@
 
 The prefix automaton is the Markov chain embedding of the race: its
 states are the proper pattern prefixes and its absorbing codes the
-patterns.  build_automaton validates the problem and builds it once;
-every engine then takes the automaton.  It drives an exact dynamic
-program for waiting-time distributions, on integer masses scaled by
-powers of the letter-probability denominator, and an absorbing-chain
-linear solve for win probabilities and expectations.  That solve runs
-on solver.fraction_free_solve, the package's one elimination kernel,
-but its system comes from the automaton, not from the correlations,
-and has one row per live state, not m + 1.  A seeded Monte
-Carlo simulator and a direct simulation of the casino-net-gain
-martingale provide statistical cross-checks; both sample paths with
-one walk.
+patterns.  build_automaton builds it once from a RaceProblem, which is
+valid by construction; every engine then takes the automaton.  It
+drives an exact dynamic program for waiting-time distributions, on
+integer masses scaled by powers of the letter-probability denominator,
+and an absorbing-chain linear solve for win probabilities and
+expectations.  That solve runs on solver.fraction_free_solve, the
+package's one elimination kernel, but its system comes from the
+automaton, not from the correlations, and has one row per live state,
+not m + 1.  A seeded Monte Carlo simulator and a direct simulation of
+the casino-net-gain martingale provide statistical cross-checks; both
+sample paths with one walk.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 from .correlation import correlation
-from .model import Alphabet, Pattern, RaceProblem, pattern_prob, require_valid
+from .model import Alphabet, Pattern, RaceProblem, pattern_prob
 from .solver import SeriesTable, fraction_free_solve
 
 _ZERO = Fraction(0)
@@ -56,7 +56,6 @@ class PrefixAutomaton:
 
 
 def build_automaton(problem: RaceProblem) -> PrefixAutomaton:
-    require_valid(problem)
     pats = [p.letters for p in problem.patterns]
     states = sorted({p[:i] for p in pats for i in range(len(p))},
                     key=lambda s: (len(s), s))

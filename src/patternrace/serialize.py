@@ -106,8 +106,6 @@ def problem_from_obj(obj) -> RaceProblem:
     except (AlphabetError, ValueError) as e:
         raise ParseError(f"bad alphabet: {e}") from None
     patterns = tuple(parse_pattern_spec(p, alphabet) for p in obj["patterns"])
-    if not patterns:
-        raise ParseError("at least one competing pattern required")
     initial = obj.get("initial")
     init_pattern = None
     if initial is not None:

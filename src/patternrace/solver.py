@@ -29,7 +29,7 @@ from .algebra import (
     ipoly_sub,
 )
 from .correlation import correlation
-from .model import RaceProblem, require_valid
+from .model import RaceProblem
 
 
 class SolverError(RuntimeError):
@@ -145,7 +145,6 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     matrix yields det A and every Cramer numerator y_i = det A * x_i.  The
     alpha = 1 values come from the same polynomials evaluated at 1.
     """
-    require_valid(problem)
     alphabet, pats = problem.alphabet, problem.patterns
     a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
     scale = 1

@@ -5,11 +5,11 @@ import pytest
 
 from patternrace.model import (
     Alphabet,
+    InvalidRaceError,
     Pattern,
     RaceProblem,
     is_subpattern,
     make_alphabet,
-    validate_race,
 )
 
 
@@ -57,7 +57,8 @@ def random_problem(rng: random.Random, with_initial=None, m=None) -> RaceProblem
             length = rng.randint(1, 6)
             initial = Pattern(tuple(rng.randrange(alphabet.size)
                                     for _ in range(length)))
-        problem = RaceProblem(alphabet=alphabet, patterns=tuple(pats),
-                              initial=initial)
-        if validate_race(problem).ok:
-            return problem
+        try:
+            return RaceProblem(alphabet=alphabet, patterns=tuple(pats),
+                               initial=initial)
+        except InvalidRaceError:
+            continue

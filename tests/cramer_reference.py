@@ -25,7 +25,7 @@ from patternrace.algebra import (
     ipoly_sub,
 )
 from patternrace.correlation import correlation
-from patternrace.model import RaceProblem, require_valid
+from patternrace.model import RaceProblem
 from patternrace.solver import DegenerateCollectionError, RaceSolution
 
 from single_reference import ONE_MINUS_ALPHA
@@ -50,7 +50,6 @@ class CorrMatrix:
 
 
 def correlation_matrix(problem: RaceProblem) -> CorrMatrix:
-    require_valid(problem)
     pats = problem.patterns
     entries = tuple(
         tuple(correlation(bj, bi, problem.alphabet) for bj in pats)
@@ -61,7 +60,6 @@ def correlation_matrix(problem: RaceProblem) -> CorrMatrix:
 
 def initial_correlation_vector(problem: RaceProblem) -> tuple:
     """Per-pattern correlation of the initial pattern; all zero when absent."""
-    require_valid(problem)
     return tuple(
         correlation(problem.initial, b, problem.alphabet)
         for b in problem.patterns
@@ -207,7 +205,6 @@ def build_system(problem: RaceProblem):
     with RHS 1; row i below has -1, the correlation row of B_i, and RHS
     the initial-pattern correlation against B_i.
     """
-    require_valid(problem)
     corr = correlation_matrix(problem)
     v = initial_correlation_vector(problem)
     m = problem.num_patterns
@@ -222,7 +219,6 @@ def build_system(problem: RaceProblem):
 
 def cramer_solve(problem: RaceProblem) -> RaceSolution:
     """The race solution as determinant ratios, one determinant each."""
-    require_valid(problem)
     corr = correlation_matrix(problem)
     v = initial_correlation_vector(problem)
     m = problem.num_patterns

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from patternrace import cli
 from patternrace import model as model_mod
 from patternrace import oracle as oracle_mod
-from patternrace import solver as solver_mod
 from patternrace.cli import main
 from patternrace.algebra import RationalFunc
 from patternrace.model import ValidationReport
@@ -64,6 +63,17 @@ def test_validate_containment(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert not out["valid"]
     assert any("subpattern" in v["message"] for v in out["violations"])
+
+
+@pytest.mark.parametrize("command", ["validate", "race"])
+def test_empty_pattern_list_is_a_violation(tmp_path, capsys, command):
+    path = write_problem(tmp_path, dict(THREE_WAY, patterns=[]))
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"valid": False, "violations": [
+        {"code": "no-patterns", "message": "at least one competing pattern required",
+         "indices": []}]}
 
 
 def test_parse_error_bad_rational(tmp_path, capsys):
@@ -313,8 +323,7 @@ def test_martingale_no_completed_replicate_is_json(problem_file, capsys):
 def test_race_degenerate_collection(tmp_path, capsys, monkeypatch):
     # A repeated pattern gives a singular system; validation would reject
     # it first, so it is bypassed to reach the solver's own guard.
-    monkeypatch.setattr(cli, "validate_race", lambda problem: ValidationReport())
-    monkeypatch.setattr(solver_mod, "require_valid", lambda problem: None)
+    monkeypatch.setattr(model_mod, "validate_race", lambda problem: ValidationReport())
     path = write_problem(tmp_path, dict(THREE_WAY, patterns=["HH", "HH"]))
     assert main(["race", path]) == 2
     assert "degenerate" in capsys.readouterr().err
@@ -336,6 +345,7 @@ def test_rational_str_past_int_str_digit_limit():
     ["race", "--oracle", "--series", "5"],
     ["simulate", "--reps", "10"],
     ["martingale", "--alpha", "1/2", "--reps", "10"],
+    ["correlate", "--a", "H", "--b", "H"],
 ])
 def test_invalid_problem_reports_like_validate(tmp_path, capsys, argv):
     path = write_problem(tmp_path, dict(THREE_WAY, patterns=["HT", "HTH"]))
@@ -376,7 +386,7 @@ def _count_calls(monkeypatch, *functions):
 
 @pytest.mark.parametrize("argv, validations, automata", [
     (["race"], 1, 0),
-    (["race", "--series", "8", "--oracle"], 2, 1),
+    (["race", "--series", "8", "--oracle"], 1, 1),
     (["simulate", "--reps", "20"], 1, 1),
     (["martingale", "--alpha", "1/2", "--reps", "20"], 2, 1),
 ])

@@ -1,32 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from patternrace.algebra import LaurentPoly
-from patternrace.correlation import correlation, overlap_indicator
+from patternrace.correlation import correlation
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 
 from conftest import random_problem
 from cramer_reference import correlation_matrix, initial_correlation_vector
-
-
-def test_overlap_indicator_examples(fair_coin):
-    thh = fair_coin.pattern("THH")
-    thth = fair_coin.pattern("THTH")
-    hth = fair_coin.pattern("HTH")
-    assert overlap_indicator(thh, thth, 2) == 0
-    assert overlap_indicator(thth, thh, 2) == 1
-    assert overlap_indicator(thh, thh, 3) == 1
-    assert overlap_indicator(thh, hth, 2) == 0
-
-
-def test_overlap_indicator_range(fair_coin):
-    thh = fair_coin.pattern("THH")
-    with pytest.raises(ValueError):
-        overlap_indicator(thh, thh, 0)
-    with pytest.raises(ValueError):
-        overlap_indicator(thh, thh, 4)
 
 
 def test_correlation_fair_coin_example(fair_coin):

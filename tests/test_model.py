@@ -5,6 +5,7 @@ import pytest
 
 from patternrace.model import (
     AlphabetError,
+    InvalidRaceError,
     Pattern,
     PatternError,
     RaceProblem,
@@ -80,12 +81,36 @@ def test_validate_accepts_three_way(three_way):
     assert validate_race(three_way).ok
 
 
+def test_race_problem_rejects_every_violation(fair_coin):
+    # TH sits inside THH; TH and TT sit inside TTH, the head of the
+    # initial word; the last pattern is past the length cap and uses a
+    # letter the coin does not have.
+    with pytest.raises(InvalidRaceError) as e:
+        RaceProblem(
+            alphabet=fair_coin,
+            patterns=(fair_coin.pattern("TH"), fair_coin.pattern("THH"),
+                      fair_coin.pattern("TT"), Pattern((2,) * 65)),
+            initial=fair_coin.pattern("TTHT"),
+        )
+    report = e.value.report
+    assert not report.ok
+    assert [(v.code, v.indices) for v in report.violations] == [
+        ("bad-pattern", (3,)),
+        ("pattern-too-long", (3,)),
+        ("mutual-containment", (0, 1)),
+        ("initial-contains-pattern", (0,)),
+        ("initial-contains-pattern", (2,)),
+    ]
+    assert str(e.value) == "; ".join(v.message for v in report.violations)
+
+
 def test_validate_rejects_containment(fair_coin):
-    problem = RaceProblem(
-        alphabet=fair_coin,
-        patterns=(fair_coin.pattern("TH"), fair_coin.pattern("THH")),
-    )
-    report = validate_race(problem)
+    with pytest.raises(InvalidRaceError) as e:
+        RaceProblem(
+            alphabet=fair_coin,
+            patterns=(fair_coin.pattern("TH"), fair_coin.pattern("THH")),
+        )
+    report = e.value.report
     assert not report.ok
     codes = {v.code for v in report.violations}
     assert "mutual-containment" in codes
@@ -101,36 +126,43 @@ def test_validate_initial_pattern_rules(fair_coin):
     )
     assert validate_race(ok).ok
     # A=HHT with B=HH: HH sits inside a1 a2 = HH, invalid.
-    bad = RaceProblem(
-        alphabet=fair_coin,
-        patterns=(fair_coin.pattern("HH"),),
-        initial=fair_coin.pattern("HHT"),
-    )
-    report = validate_race(bad)
+    with pytest.raises(InvalidRaceError) as e:
+        RaceProblem(
+            alphabet=fair_coin,
+            patterns=(fair_coin.pattern("HH"),),
+            initial=fair_coin.pattern("HHT"),
+        )
+    report = e.value.report
     assert not report.ok
     assert any(v.code == "initial-contains-pattern" for v in report.violations)
 
 
 def test_validate_rejects_appended_containment(three_way, fair_coin):
-    extended = RaceProblem(
-        alphabet=fair_coin,
-        patterns=three_way.patterns + (fair_coin.pattern("TH"),),
-    )
-    assert not validate_race(extended).ok
+    with pytest.raises(InvalidRaceError) as e:
+        RaceProblem(
+            alphabet=fair_coin,
+            patterns=three_way.patterns + (fair_coin.pattern("TH"),),
+        )
+    assert not e.value.report.ok
 
 
 def test_validate_rejects_empty_collection(fair_coin):
-    report = validate_race(RaceProblem(alphabet=fair_coin, patterns=()))
-    assert any(v.code == "no-patterns" for v in report.violations)
+    with pytest.raises(InvalidRaceError) as e:
+        RaceProblem(alphabet=fair_coin, patterns=())
+    assert any(v.code == "no-patterns" for v in e.value.report.violations)
 
 
 def test_validate_caps(fair_coin):
-    def report(*patterns):
-        return validate_race(RaceProblem(alphabet=fair_coin, patterns=patterns))
+    def problem(*patterns):
+        return RaceProblem(alphabet=fair_coin, patterns=patterns)
 
-    assert report(Pattern((0,) * 64)).ok
-    assert [v.code for v in report(Pattern((0,) * 65)).violations] == ["pattern-too-long"]
+    assert validate_race(problem(Pattern((0,) * 64))).ok
+    with pytest.raises(InvalidRaceError) as e:
+        problem(Pattern((0,) * 65))
+    assert [v.code for v in e.value.report.violations] == ["pattern-too-long"]
     # distinct words of one length never contain each other
-    assert report(*(Pattern(w) for w in product((0, 1), repeat=4))).ok
+    assert validate_race(problem(*(Pattern(w) for w in product((0, 1), repeat=4)))).ok
     many = [Pattern(w) for w in product((0, 1), repeat=5)][:17]
-    assert [v.code for v in report(*many).violations] == ["too-many-patterns"]
+    with pytest.raises(InvalidRaceError) as e:
+        problem(*many)
+    assert [v.code for v in e.value.report.violations] == ["too-many-patterns"]

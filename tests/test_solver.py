@@ -1,11 +1,16 @@
-import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from patternrace import model as model_mod
 from patternrace.algebra import LaurentPoly, RationalFunc, ipoly_trim
-from patternrace.model import InvalidRaceError, RaceProblem, make_alphabet
+from patternrace.model import (
+    InvalidRaceError,
+    RaceProblem,
+    ValidationReport,
+    make_alphabet,
+)
 from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
@@ -17,7 +22,6 @@ from patternrace.solver import (
     solve_race,
 )
 
-import cramer_reference
 import series_reference
 from conftest import random_problem
 from cramer_reference import (
@@ -398,8 +402,7 @@ def test_solve_race_equals_cramer_initial_ending_with_pattern(fair_coin, three_w
 def test_degenerate_collection_raises_on_both_paths(fair_coin, monkeypatch):
     # A repeated pattern makes two rows of the system equal.  Validation
     # rejects it, so it is bypassed to reach the solvers' own guard.
-    for mod in (importlib.import_module("patternrace.solver"), cramer_reference):
-        monkeypatch.setattr(mod, "require_valid", lambda problem: None)
+    monkeypatch.setattr(model_mod, "validate_race", lambda problem: ValidationReport())
     hh = fair_coin.pattern("HH")
     for initial in (None, fair_coin.pattern("TH")):
         prob = RaceProblem(alphabet=fair_coin, patterns=(hh, hh), initial=initial)

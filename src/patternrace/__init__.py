@@ -3,7 +3,7 @@ letter sequences, with independent automaton and Monte Carlo oracles."""
 
 __version__ = "0.1.0"
 
-from .algebra import LaurentPoly, RationalFunc
+from .algebra import RationalFunc
 from .model import (
     Alphabet,
     Pattern,
@@ -35,7 +35,6 @@ from .oracle import (
 __all__ = [
     "Alphabet",
     "DegenerateCollectionError",
-    "LaurentPoly",
     "MartingaleReport",
     "MonteCarloReport",
     "Pattern",

@@ -1,7 +1,6 @@
 """Exact arithmetic in the variable alpha.
 
-Dense integer polynomials (int lists), sparse Laurent polynomials
-(negative exponents allowed) held as data, and canonical rational
+Dense integer polynomials (int lists) and canonical rational
 functions, the one field the package computes in.
 Everything here is exact; no floats.
 """
@@ -10,9 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
-
-_ZERO = Fraction(0)
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -114,84 +111,6 @@ def poly_gcd(a: list, b: list) -> list:
     while y:
         x, y = y, _int_primitive(_int_prem(x, y))
     return x
-
-
-# ---------------------------------------------------------------------------
-
-class LaurentPoly:
-    """Sparse polynomial in alpha allowing negative exponents.
-
-    Canonical form: only nonzero coefficients are stored, so equality
-    of term maps is equality of values.  It carries no arithmetic:
-    build it, evaluate it, read its coefficients, or convert it with
-    to_rational_func to compute with it.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        items = []
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-        t: dict = {}
-        for e, c in items:
-            c = Fraction(c)
-            if c:
-                acc = t.get(e, _ZERO) + c
-                if acc:
-                    t[int(e)] = acc
-                else:
-                    t.pop(int(e), None)
-        self.terms = t
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @property
-    def min_exp(self) -> int:
-        if not self.terms:
-            return 0
-        return min(self.terms)
-
-    @property
-    def max_exp(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.terms)
-
-    def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        if not x and self.min_exp < 0:
-            raise ZeroDivisionError("negative exponent at alpha = 0")
-        return sum((c * x ** e for e, c in self.terms.items()), _ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coeffs(self, shift: int = 0) -> list:
-        """Ascending coefficients of alpha**shift * self; shift must clear
-        every negative exponent."""
-        out = [0] * (self.max_exp + shift + 1 if self.terms else 0)
-        for e, c in self.terms.items():
-            out[e + shift] = c
-        return out
-
-    def to_rational_func(self) -> "RationalFunc":
-        """Clear negative exponents: multiply through by alpha**d."""
-        d = max(0, -self.min_exp)
-        return RationalFunc(self.coeffs(d), [0] * d + [1])
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        parts = [f"{c}*a^{e}" for e, c in sorted(self.terms.items())]
-        return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

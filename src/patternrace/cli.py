@@ -14,7 +14,7 @@ import sys
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
-from .correlation import correlation
+from .correlation import correlation, evaluate
 from .model import InvalidRaceError, ValidationReport
 from .serialize import (
     DEFAULT_DIGITS,
@@ -96,8 +96,8 @@ def cmd_race(args) -> int:
         }
         if table is not None:
             dp = oracle_mod.exact_distribution(auto, table.horizon)
-            series_agree = (dp.per_pattern == table.per_pattern
-                            and dp.tail_mass == table.tail_mass)
+            # Both tables hold the scaled integer columns they computed.
+            series_agree = dp == table
             oracle_out["series_agree"] = series_agree
             agree = agree and series_agree
         out["oracle"] = oracle_out
@@ -124,19 +124,22 @@ def _print_race_table(out) -> None:
 
 def cmd_correlate(args) -> int:
     problem, _ = load_problem(args.input)
-    a = parse_pattern_spec(args.a, problem.alphabet)
-    b = parse_pattern_spec(args.b, problem.alphabet)
-    lp = correlation(a, b, problem.alphabet)
+    alphabet = problem.alphabet
+    # Multi-character symbols are written space-separated, as race
+    # prints them.
+    a, b = (parse_pattern_spec(spec if alphabet.single_char else spec.split(), alphabet)
+            for spec in (args.a, args.b))
+    terms = correlation(a, b, alphabet)
     out = {
         "a": args.a,
         "b": args.b,
-        "terms": {str(e): rational_str(c) for e, c in sorted(lp.terms.items())},
+        "terms": {str(e): rational_str(c) for e, c in sorted(terms.items())},
     }
     if args.alpha is not None:
         alpha = parse_rational_str(args.alpha)
         if alpha <= 0:
             raise UsageError("--alpha must be positive")
-        out["value"] = rational_str(lp(alpha))
+        out["value"] = rational_str(evaluate(terms, alpha))
     _emit(out)
     return EXIT_OK
 

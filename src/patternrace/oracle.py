@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
-from .correlation import correlation
+from .correlation import correlation, evaluate
 from .model import Alphabet, Pattern, RaceProblem, pattern_prob
 from .solver import SeriesTable, fraction_free_solve
 
@@ -101,9 +101,10 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
 
     With d the lcm of the letter-probability denominators, the mass at
     step t is carried as an integer scaled by d**t: each letter moves it
-    with the integer weight d * p_a.  Every step checks that the live and
-    absorbed masses sum to d**t, and the table's tail is checked
-    against the live mass left at step n.
+    with the integer weight d * p_a, and the table holds the absorbed
+    integers.  Every step checks that the live and absorbed masses sum
+    to d**t, and the table's tail is checked against the live mass left
+    at step n.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
@@ -136,9 +137,9 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
         live = nxt
         if sum(live.values()) + absorbed != scale:
             raise OracleError("mass conservation violated in DP")
-    table = SeriesTable.from_scaled(per, d)
-    # The live mass is the tail the DP tracked itself; from_scaled
-    # derives it from the absorbed columns.
+    table = SeriesTable(d, tuple(map(tuple, per)))
+    # The live mass is the tail the DP tracked itself; the table derives
+    # it from the absorbed columns.
     if table.tail_mass != Fraction(sum(live.values()), scale):
         raise OracleError("DP tail disagrees with its absorbed columns")
     return table
@@ -354,14 +355,14 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     k = 1 / (1 - alpha)
     bound = k / pattern_prob(b, alphabet)
     l = len(a) if a is not None else 0
-    ab = correlation(a, b, alphabet)(alpha) if a is not None else _ZERO
-    bb = correlation(b, b, alphabet)(alpha)
+    ab = evaluate(correlation(a, b, alphabet), alpha)
+    bb = evaluate(correlation(b, b, alphabet), alpha)
     y0 = k - alpha ** l * (k + ab)
 
     # Weight per code: the correlation of each state word against b prices
     # every gambler still in the game.  The absorbing code is -1, so
     # appending (B*B) last lets lists indexed by code serve it as well.
-    weights = [correlation(Pattern(s), b, alphabet)(alpha) if s else _ZERO
+    weights = [evaluate(correlation(Pattern(s), b, alphabet), alpha) if s else _ZERO
                for s in auto.states]
     weights.append(bb)
     # Step thresholds: step s of a path at code c violates the bound

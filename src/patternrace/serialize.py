@@ -139,13 +139,6 @@ def rf_to_obj(rf: RationalFunc) -> dict:
     }
 
 
-def rf_from_obj(obj) -> RationalFunc:
-    return RationalFunc(
-        tuple(parse_rational_str(c) for c in obj["num"]),
-        tuple(parse_rational_str(c) for c in obj["den"]),
-    )
-
-
 def series_to_obj(table: SeriesTable) -> dict:
     return {
         "horizon": table.horizon,

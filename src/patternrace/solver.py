@@ -8,8 +8,8 @@ absorbing-chain oracle runs on it too, with degree-0 entries.
 
 With d the lcm of the letter-probability denominators,
 d**n * P(tau = n, k wins) is an integer, so the series recurrence runs
-on those integers and each table entry becomes a Fraction only once,
-when the SeriesTable is built.
+on those integers and the SeriesTable holds them; a Fraction is built
+only where a value is read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from operator import mul
 from typing import List, Optional, Sequence
 
 from .algebra import (
-    LaurentPoly,
     RationalFunc,
     clear_denominators,
     ipoly_exact_div,
@@ -75,12 +74,19 @@ class RaceSolution:
     win_denominator: Fraction
 
 
-def _clear_row(row: Sequence[LaurentPoly]):
-    """Scale a Laurent row by alpha**d and the lcm l of its coefficient
-    denominators, so that every entry is an integer polynomial (an int
-    list, ascending exponents).  Returns the integer row and l."""
-    d = max([0] + [-e for lp in row for e in lp.terms])
-    return clear_denominators([lp.coeffs(d) for lp in row])
+def _clear_row(row: Sequence[dict]):
+    """Scale a row of term maps {exponent: coefficient} by alpha**d and
+    the lcm l of its coefficient denominators, so that every entry is an
+    integer polynomial (an int list, ascending exponents).  Returns the
+    integer row and l."""
+    d = max([0] + [-e for terms in row for e in terms])
+    polys = []
+    for terms in row:
+        p = [0] * (max(terms) + d + 1 if terms else 0)
+        for e, c in terms.items():
+            p[e + d] = c
+        polys.append(p)
+    return clear_denominators(polys)
 
 
 def fraction_free_solve(a: List[list]):
@@ -148,7 +154,7 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     alphabet, pats = problem.alphabet, problem.patterns
     a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
     scale = 1
-    minus_one = LaurentPoly({0: -1})
+    minus_one = {0: -1}
     for bi in pats:
         row = ([minus_one] + [correlation(bj, bi, alphabet) for bj in pats]
                + [correlation(problem.initial, bi, alphabet)])
@@ -218,43 +224,48 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
 
 @dataclass(frozen=True)
 class SeriesTable:
-    """Exact per-step distribution up to a horizon.
+    """Exact per-step distribution up to a horizon, held as the engines
+    compute it: columns[k][n] = d**n * P(tau = n, k wins), an integer,
+    with d the lcm of the letter-probability denominators.  columns is
+    a tuple of tuples, so two tables are equal exactly when their
+    integers are.
 
-    per_pattern[k][n] is the probability that the race ends at step n
-    with pattern k; totals[n] sums the row; tail_mass is the probability
-    the race is still running after the horizon.
+    The Fractions are built when read: per_pattern[k][n] is the
+    probability that the race ends at step n with pattern k; totals[n]
+    sums the row; tail_mass is the probability the race is still
+    running after the horizon.
     """
 
-    horizon: int
-    per_pattern: tuple
-    totals: tuple
-    tail_mass: Fraction
+    d: int
+    columns: tuple
 
-    @classmethod
-    def from_scaled(cls, columns: Sequence[list], d: int) -> "SeriesTable":
-        """The table whose column k holds columns[k][n] / d**n.
+    @property
+    def horizon(self) -> int:
+        return len(self.columns[0]) - 1
 
-        Totals and the tail are summed on the scaled integers; each
-        Fraction is built once, from an integer and a power of d.
+    def _powers(self) -> list:
+        return list(accumulate(repeat(self.d, self.horizon), mul, initial=1))
 
-        series and exact_distribution both build their tables here, so
-        the CLI's comparison of the two does not check this conversion.
-        exact_distribution checks the tail against its own live mass, and
-        the tests compare series with tests/series_reference.series_table,
-        which builds its Fractions without this method.
-        """
-        totals = [sum(row) for row in zip(*columns)]
-        powers = list(accumulate(repeat(d, len(totals) - 1), mul, initial=1))
+    def _totals(self) -> list:
+        return [sum(row) for row in zip(*self.columns)]
+
+    @property
+    def per_pattern(self) -> tuple:
+        powers = self._powers()
+        return tuple(tuple(map(Fraction, col, powers)) for col in self.columns)
+
+    @property
+    def totals(self) -> tuple:
+        return tuple(map(Fraction, self._totals(), self._powers()))
+
+    @property
+    def tail_mass(self) -> Fraction:
         # sum_n totals[n] * d**(horizon - n), by Horner's rule
         absorbed = 0
-        for t in totals:
-            absorbed = absorbed * d + t
-        return cls(
-            horizon=len(totals) - 1,
-            per_pattern=tuple(tuple(map(Fraction, col, powers)) for col in columns),
-            totals=tuple(map(Fraction, totals, powers)),
-            tail_mass=Fraction(powers[-1] - absorbed, powers[-1]),
-        )
+        for t in self._totals():
+            absorbed = absorbed * self.d + t
+        top = self.d ** self.horizon
+        return Fraction(top - absorbed, top)
 
 
 def series(problem: RaceProblem, n: int,
@@ -262,13 +273,13 @@ def series(problem: RaceProblem, n: int,
     """Exact distribution table extracted from the closed-form solution.
 
     Each generating function g_k is expanded with power_series, scaled
-    by the lcm d of the letter-probability denominators, so that
-    d**n * P(tau = n, k wins) stays an integer until the table is built.
+    by the lcm d of the letter-probability denominators; the table holds
+    those integers.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     if solution is None:
         solution = solve_race(problem)
     d = problem.alphabet.denominator
-    return SeriesTable.from_scaled(
-        [power_series(g, n, d) for g in solution.g_per_pattern], d)
+    return SeriesTable(d, tuple(tuple(power_series(g, n, d))
+                                for g in solution.g_per_pattern))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from patternrace.algebra import RationalFunc
 from patternrace.model import (
     Alphabet,
     InvalidRaceError,
@@ -11,6 +12,7 @@ from patternrace.model import (
     is_subpattern,
     make_alphabet,
 )
+from patternrace.serialize import parse_rational_str
 
 
 @pytest.fixture
@@ -62,3 +64,11 @@ def random_problem(rng: random.Random, with_initial=None, m=None) -> RaceProblem
                                initial=initial)
         except InvalidRaceError:
             continue
+
+
+def rf_from_obj(obj) -> RationalFunc:
+    """The rational function of a {"num": [...], "den": [...]} output object."""
+    return RationalFunc(
+        tuple(parse_rational_str(c) for c in obj["num"]),
+        tuple(parse_rational_str(c) for c in obj["den"]),
+    )

@@ -18,17 +18,16 @@ from math import lcm
 from typing import List, Sequence
 
 from patternrace.algebra import (
-    LaurentPoly,
     RationalFunc,
     ipoly_exact_div,
     ipoly_mul,
     ipoly_sub,
 )
-from patternrace.correlation import correlation
+from patternrace.correlation import correlation, evaluate
 from patternrace.model import RaceProblem
 from patternrace.solver import DegenerateCollectionError, RaceSolution
 
-from single_reference import ONE_MINUS_ALPHA
+from single_reference import ONE_MINUS_ALPHA, laurent_rf
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -36,17 +35,18 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class CorrMatrix:
-    """Grid where entry (i, j) is the correlation of B_j against B_i."""
+    """Grid where entry (i, j) is the correlation term map of B_j
+    against B_i."""
 
     m: int
     entries: tuple
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
+    def entry(self, i: int, j: int) -> dict:
         return self.entries[i][j]
 
     def at(self, alpha) -> list:
         """Evaluate every entry at a fixed alpha; plain rational grid."""
-        return [[e(alpha) for e in row] for row in self.entries]
+        return [[evaluate(e, alpha) for e in row] for row in self.entries]
 
 
 def correlation_matrix(problem: RaceProblem) -> CorrMatrix:
@@ -128,8 +128,10 @@ def fraction_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> RationalFunc:
-    """Determinant of a Laurent-polynomial matrix as a RationalFunc.
+def det_laurent(rows: Sequence[Sequence[dict]]) -> RationalFunc:
+    """Determinant of a matrix of term maps {exponent: coefficient}, with
+    negative exponents allowed and no zero coefficients, as a
+    RationalFunc.
 
     Each row is cleared to integer polynomial coefficients (multiply by
     alpha**depth and the lcm of coefficient denominators), the integer
@@ -143,16 +145,16 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> RationalFunc:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        exps = [e for lp in row for e in lp.terms]
+        exps = [e for terms in row for e in terms]
         d = max(0, -min(exps)) if exps else 0
-        denoms = [c.denominator for lp in row for c in lp.terms.values()]
+        denoms = [c.denominator for terms in row for c in terms.values()]
         l = lcm(*denoms) if denoms else 1
         irow = []
-        for lp in row:
-            if lp.terms:
-                width = max(lp.terms) + d + 1
+        for terms in row:
+            if terms:
+                width = max(terms) + d + 1
                 coeffs = [0] * width
-                for e, c in lp.terms.items():
+                for e, c in terms.items():
                     coeffs[e + d] = int(c * l)
                 irow.append(coeffs)
             else:
@@ -212,8 +214,8 @@ def build_system(problem: RaceProblem):
     matrix = [[RationalFunc((1, -1))] + [one] * m]
     for i in range(m):
         matrix.append([RationalFunc.const(-1)] +
-                      [corr.entry(i, j).to_rational_func() for j in range(m)])
-    rhs = [one] + [v[i].to_rational_func() for i in range(m)]
+                      [laurent_rf(corr.entry(i, j)) for j in range(m)])
+    rhs = [one] + [laurent_rf(v[i]) for i in range(m)]
     return matrix, rhs
 
 
@@ -223,8 +225,8 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
     v = initial_correlation_vector(problem)
     m = problem.num_patterns
     rows = [list(r) for r in corr.entries]
-    ones_col = [LaurentPoly({0: 1})] * m
-    has_initial = any(lp.terms for lp in v)
+    ones_col = [{0: 1}] * m
+    has_initial = any(v)
 
     det_b = det_laurent(rows)
     det_b_ones = [det_laurent(replace_column(rows, j, ones_col)) for j in range(m)]
@@ -236,7 +238,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
             bk_rows = replace_column(rows, k, v)
             dbk = det_laurent(bk_rows)
             det_bk.append(dbk)
-            acc = ONE_MINUS_ALPHA.to_rational_func() * dbk
+            acc = ONE_MINUS_ALPHA * dbk
             for j in range(m):
                 if j == k:
                     acc = acc + det_b_ones[k]
@@ -250,7 +252,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
         g_numerators = list(det_b_ones)
         q_numerator = det_b
 
-    denom = ONE_MINUS_ALPHA.to_rational_func() * det_b
+    denom = ONE_MINUS_ALPHA * det_b
     for d in det_b_ones:
         denom = denom + d
     if denom.is_zero():
@@ -264,7 +266,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
 
     # alpha = 1 path: plain rational determinants, no limits.
     grid1 = corr.at(1)
-    v1 = [lp(1) for lp in v]
+    v1 = [evaluate(terms, 1) for terms in v]
     ones1 = [_ONE] * m
     s = sum(fraction_det(replace_column(grid1, j, ones1)) for j in range(m))
     if s == 0:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from patternrace.correlation import correlation
+from patternrace.correlation import correlation, evaluate
 from patternrace.model import Alphabet, Pattern, RaceProblem, pattern_prob
 from patternrace.oracle import (
     DEFAULT_MAX_STEPS,
@@ -39,8 +39,8 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     one_minus = 1 - alpha
     bound = 1 / (one_minus * pattern_prob(b, alphabet))
     l = len(a) if a is not None else 0
-    ab = correlation(a, b, alphabet)(alpha) if a is not None else _ZERO
-    bb = correlation(b, b, alphabet)(alpha)
+    ab = evaluate(correlation(a, b, alphabet), alpha)
+    bb = evaluate(correlation(b, b, alphabet), alpha)
     y0 = (1 - alpha ** l) / one_minus - alpha ** l * ab
 
     # Live-gambler weight per state: the correlation of the state word
@@ -48,7 +48,7 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     weights = []
     for s in auto.states:
         if s:
-            weights.append(correlation(Pattern(s), b, alphabet)(alpha))
+            weights.append(evaluate(correlation(Pattern(s), b, alphabet), alpha))
         else:
             weights.append(_ZERO)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from patternrace.algebra import RationalFunc
-from patternrace.solver import RaceSolution, SeriesTable, ZeroConstantDenominatorError
+from patternrace.solver import RaceSolution, ZeroConstantDenominatorError
 
 _ZERO = Fraction(0)
 
@@ -33,9 +33,9 @@ def power_series(rf: RationalFunc, n: int) -> list:
     return out
 
 
-def series_table(solution: RaceSolution, n: int) -> SeriesTable:
-    """The distribution table summed in Fractions."""
+def series_table(solution: RaceSolution, n: int) -> tuple:
+    """The distribution table summed in Fractions: the triple
+    (per_pattern, totals, tail_mass) of a SeriesTable."""
     per = tuple(tuple(power_series(g, n)) for g in solution.g_per_pattern)
     totals = tuple(sum(col[i] for col in per) for i in range(n + 1))
-    return SeriesTable(horizon=n, per_pattern=per, totals=totals,
-                       tail_mass=1 - sum(totals))
+    return per, totals, 1 - sum(totals)

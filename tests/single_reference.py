@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from patternrace.algebra import LaurentPoly, RationalFunc
-from patternrace.correlation import correlation
+from patternrace.algebra import RationalFunc
+from patternrace.correlation import correlation, evaluate
 from patternrace.model import (
     Alphabet,
     InvalidRaceError,
@@ -22,7 +22,18 @@ from patternrace.model import (
     Violation,
 )
 
-ONE_MINUS_ALPHA = LaurentPoly({0: 1, 1: -1})
+ONE_MINUS_ALPHA = RationalFunc((1, -1))
+
+
+def laurent_rf(terms: dict) -> RationalFunc:
+    """A term map {exponent: coefficient}, such as a correlation, as a
+    rational function: multiply through by alpha**d to clear negative
+    exponents."""
+    d = max([0] + [-e for e in terms])
+    num = [0] * (max(terms) + d + 1 if terms else 0)
+    for e, c in terms.items():
+        num[e + d] = c
+    return RationalFunc(num, [0] * d + [1])
 
 
 def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
@@ -41,22 +52,20 @@ def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
 def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
     """E(alpha^tau) for the wait until b, given initial word a."""
     _check_single(a, b, alphabet)
-    om = ONE_MINUS_ALPHA.to_rational_func()
-    ab = correlation(a, b, alphabet).to_rational_func()
-    bb = correlation(b, b, alphabet).to_rational_func()
-    return (1 + om * ab) / (1 + om * bb)
+    ab = laurent_rf(correlation(a, b, alphabet))
+    bb = laurent_rf(correlation(b, b, alphabet))
+    return (1 + ONE_MINUS_ALPHA * ab) / (1 + ONE_MINUS_ALPHA * bb)
 
 
 def single_Q(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
     """Generating function of the tail probabilities Pr(tau > n)."""
     _check_single(a, b, alphabet)
-    om = ONE_MINUS_ALPHA.to_rational_func()
-    ab = correlation(a, b, alphabet).to_rational_func()
-    bb = correlation(b, b, alphabet).to_rational_func()
-    return (bb - ab) / (1 + om * bb)
+    ab = laurent_rf(correlation(a, b, alphabet))
+    bb = laurent_rf(correlation(b, b, alphabet))
+    return (bb - ab) / (1 + ONE_MINUS_ALPHA * bb)
 
 
 def single_expected(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Fraction:
     """Expected waiting time for b given initial word a."""
     _check_single(a, b, alphabet)
-    return correlation(b, b, alphabet)(1) - correlation(a, b, alphabet)(1)
+    return evaluate(correlation(b, b, alphabet), 1) - evaluate(correlation(a, b, alphabet), 1)

@@ -2,11 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternrace.algebra import (
-    LaurentPoly,
     RationalFunc,
     clear_denominators,
     ipoly_exact_div,
@@ -19,20 +18,11 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12,
 ).map(Fraction)
 
-laurents = st.dictionaries(
-    st.integers(min_value=-6, max_value=6), rationals, max_size=5,
-).map(LaurentPoly)
-
 int_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=5).map(ipoly_trim)
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=4, max_denominator=12,
 ).map(Fraction)
-
-
-@given(laurents)
-def test_laurent_canonical_no_zero_terms(x):
-    assert all(c != 0 for c in x.terms.values())
 
 
 @given(int_polys, int_polys)
@@ -119,12 +109,3 @@ def test_rf_eval_matches_field_ops(f, g, a):
         return
     assert (f + g)(a) == fa + ga
 
-
-# (4 + a^3/3)/a^2
-@example(LaurentPoly({-2: 4, 1: Fraction(1, 3)}), Fraction(1, 2))
-@example(LaurentPoly({-2: 4, 1: Fraction(1, 3)}), Fraction(2))
-@given(laurents, positive_rationals)
-def test_laurent_to_rational_func(x, a):
-    assert x.to_rational_func()(a) == x(a)
-    s = max(0, -x.min_exp)
-    assert LaurentPoly((e - s, c) for e, c in enumerate(x.coeffs(s))) == x

@@ -22,11 +22,12 @@ from patternrace.serialize import (
     parse_problem,
     parse_rational_str,
     rational_str,
-    rf_from_obj,
     rf_to_obj,
     ParseError,
 )
 from patternrace.solver import solve_race
+
+from conftest import rf_from_obj
 
 THREE_WAY = {
     "alphabet": [
@@ -191,6 +192,20 @@ def test_correlate(problem_file, capsys):
                  "--alpha", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == "8"
+
+
+def test_correlate_multi_character_symbols(tmp_path, capsys):
+    # Patterns over multi-character symbols are written space-separated,
+    # as race prints them.
+    path = write_problem(tmp_path, {
+        "alphabet": [{"symbol": "up", "prob": "1/2"}, {"symbol": "dn", "prob": "1/2"}],
+        "patterns": [["up", "dn", "up"], ["dn", "dn"]]})
+    assert main(["correlate", path, "--a", "up dn up", "--b", "up dn up"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["a"] == "up dn up"
+    assert out["terms"] == {"-3": "8", "-1": "2"}
+    assert main(["correlate", path, "--a", "up xx", "--b", "up dn up"]) == 3
+    assert "bad pattern" in capsys.readouterr().err
 
 
 def test_simulate(problem_file, capsys):

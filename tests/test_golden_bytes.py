@@ -91,3 +91,26 @@ def test_validate_stdout_bytes(tmp_path, capsys, name):
     out = capsys.readouterr().out
     assert json.loads(out)["valid"] is (code == 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# argv after `correlate FILE`: sha256 of stdout, on the 1/3-2/3 coin of
+# the "initial" problem.  Recorded with correlations held in a Laurent
+# polynomial class; the plain term maps must print the same bytes.
+CORRELATE_CASES = {
+    "zero": (["--a", "THH", "--b", "THTH"],
+             "b90f9679238e51450f5dea7817b680694a79811326070366b04358494d90b09f"),
+    "cross": (["--a", "THTH", "--b", "HTHT"],
+              "929f753fa21939e1d1777d167aaef38675fc5ed58aa3f1e1ce87064a18a9c25b"),
+    "self_at_alpha": (["--a", "HTHT", "--b", "HTHT", "--alpha", "2/5"],
+                      "7501bc237b01980cc74a946424e049e750ebfb1bd8dedf9d029fd28240120ca4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRELATE_CASES))
+def test_correlate_stdout_bytes(tmp_path, capsys, name):
+    argv, digest = CORRELATE_CASES[name]
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps(PROBLEMS["initial"][0]))
+    assert main(["correlate", str(path)] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is referenced in it.
+"""Every name a module of the package or of its tests imports is
+referenced in it.
 
 The package's __init__.py is skipped: its imports are re-exports.
 """
@@ -12,6 +13,7 @@ import patternrace
 
 MODULES = sorted(p for p in Path(patternrace.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree):
@@ -25,7 +27,7 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

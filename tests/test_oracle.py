@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from patternrace.correlation import correlation
+from patternrace.correlation import correlation, evaluate
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
     OracleError,
@@ -92,16 +92,16 @@ def test_distribution_three_way_limits(three_way):
 
 
 def test_distribution_tail_checked_against_live_mass(three_way, monkeypatch):
-    # series and the DP share SeriesTable.from_scaled, so the DP checks the
-    # tail it builds against the live mass it tracked itself.
-    build = SeriesTable.from_scaled.__func__
+    # series and the DP share SeriesTable's derivation of the tail from
+    # the absorbed columns, so the DP checks it against the live mass it
+    # tracked itself.
+    tail = SeriesTable.tail_mass.fget
 
-    def wrong_tail(cls, columns, d):
-        t = build(cls, columns, d)
-        return dataclasses.replace(t, tail_mass=t.tail_mass + Fraction(1, d ** t.horizon))
+    def wrong_tail(t):
+        return tail(t) + Fraction(1, t.d ** t.horizon)
 
     exact_distribution(build_automaton(three_way), 5)
-    monkeypatch.setattr(SeriesTable, "from_scaled", classmethod(wrong_tail))
+    monkeypatch.setattr(SeriesTable, "tail_mass", property(wrong_tail))
     with pytest.raises(OracleError, match="tail"):
         exact_distribution(build_automaton(three_way), 5)
 
@@ -293,7 +293,7 @@ def test_martingale_closed_form_matches_tracker(fair_coin):
     # closed form: running history correlation prices the live gamblers
     for n in range(1, len(letters) + 1):
         hist = Pattern(tuple(letters[:n]))
-        w = correlation(hist, b, fair_coin)(alpha)
+        w = evaluate(correlation(hist, b, fair_coin), alpha)
         closed = (1 - alpha ** n) / (1 - alpha) - alpha ** n * w
         assert closed == tracked[n - 1]
 

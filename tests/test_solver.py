@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from patternrace import model as model_mod
-from patternrace.algebra import LaurentPoly, RationalFunc, ipoly_trim
+from patternrace.algebra import RationalFunc, ipoly_trim
 from patternrace.model import (
     InvalidRaceError,
     RaceProblem,
@@ -34,7 +34,7 @@ from cramer_reference import (
     initial_correlation_vector,
     replace_column,
 )
-from single_reference import ONE_MINUS_ALPHA, single_Q, single_expected, single_pgf
+from single_reference import ONE_MINUS_ALPHA, laurent_rf, single_Q, single_expected, single_pgf
 
 ONE = RationalFunc.one()
 
@@ -103,7 +103,7 @@ def test_single_Q_geometric(fair_coin):
 
 def test_single_identity_random():
     rng = random.Random(5)
-    one_minus = ONE_MINUS_ALPHA.to_rational_func()
+    one_minus = ONE_MINUS_ALPHA
     for _ in range(25):
         prob = random_problem(rng)
         b = prob.patterns[0]
@@ -151,12 +151,18 @@ def test_fraction_det_matrix_at_one(three_way):
 
 def test_det_laurent_matches_det_rf_random():
     rng = random.Random(21)
+
+    def random_terms():
+        terms = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for e in rng.sample(range(-4, 5), rng.randint(0, 3))}
+        # A term map holds no zero coefficients: det_laurent reads the
+        # largest exponent as the leading term.
+        return {e: c for e, c in terms.items() if c}
+
     for _ in range(40):
         n = rng.randint(1, 4)
-        m = [[LaurentPoly({e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                           for e in rng.sample(range(-4, 5), rng.randint(0, 3))})
-              for _ in range(n)] for _ in range(n)]
-        rf_m = [[e.to_rational_func() for e in row] for row in m]
+        m = [[random_terms() for _ in range(n)] for _ in range(n)]
+        rf_m = [[laurent_rf(e) for e in row] for row in m]
         assert det_laurent(m) == det_rf(rf_m)
         assert det_rf(rf_m) == cofactor_det(rf_m)
 
@@ -167,8 +173,8 @@ def test_det_laurent_matches_det_rf_random():
 def _b_variants(problem):
     corr = correlation_matrix(problem)
     v = initial_correlation_vector(problem)
-    rows = [[e.to_rational_func() for e in row] for row in corr.entries]
-    vrf = [lp.to_rational_func() for lp in v]
+    rows = [[laurent_rf(e) for e in row] for row in corr.entries]
+    vrf = [laurent_rf(terms) for terms in v]
     return rows, vrf
 
 
@@ -193,7 +199,7 @@ def test_system_determinant_at_one(three_way):
 
 
 def det_identity_case(problem):
-    one_minus = ONE_MINUS_ALPHA.to_rational_func()
+    one_minus = ONE_MINUS_ALPHA
     matrix, rhs = build_system(problem)
     rows, vrf = _b_variants(problem)
     m = problem.num_patterns
@@ -330,7 +336,7 @@ def test_solve_race_permutation_invariance():
 
 def test_solution_invariants_random():
     rng = random.Random(41)
-    one_minus = ONE_MINUS_ALPHA.to_rational_func()
+    one_minus = ONE_MINUS_ALPHA
     for _ in range(20):
         prob = random_problem(rng)
         sol = solve_race(prob)
@@ -448,7 +454,8 @@ def _assert_three_tables_equal(prob, n):
     """series == the Fraction reference == the automaton DP, exactly."""
     sol = solve_race(prob)
     t = series(prob, n, sol)
-    assert t == series_reference.series_table(sol, n)
+    assert t.horizon == n
+    assert (t.per_pattern, t.totals, t.tail_mass) == series_reference.series_table(sol, n)
     assert t == exact_distribution(build_automaton(prob), n)
     return t
 

@@ -25,8 +25,8 @@ from .oracle import (
     MartingaleReport,
     MonteCarloReport,
     PrefixAutomaton,
-    absorbing_solve,
     build_automaton,
+    certify,
     exact_distribution,
     martingale_check,
     monte_carlo,
@@ -43,8 +43,8 @@ __all__ = [
     "RaceSolution",
     "RationalFunc",
     "SeriesTable",
-    "absorbing_solve",
     "build_automaton",
+    "certify",
     "correlation",
     "exact_distribution",
     "is_subpattern",

@@ -86,16 +86,21 @@ def cmd_race(args) -> int:
             raise UsageError(f"--alpha {args.alpha} is a pole: {e}") from None
     mismatch = False
     if args.oracle:
-        auto = oracle_mod.build_automaton(problem)
-        wins, expected = oracle_mod.absorbing_solve(auto)
-        agree = (wins == sol.win_probs and expected == sol.expected_tau)
+        dp, why = oracle_mod.certify(oracle_mod.build_automaton(problem), sol,
+                                     table.horizon if table is not None else 0)
+        agree = why is None
+        # Agreement certifies the printed values as g_k(1) and q_tau(1).
         oracle_out = {
-            "win_probs": [rational_str(p) for p in wins],
-            "expected_tau": rational_str(expected),
+            "win_probs": [rational_str(p) for p in sol.win_probs] if agree else None,
+            "expected_tau": rational_str(sol.expected_tau) if agree else None,
             "agree": agree,
         }
+        if why is not None:
+            at = "" if why.index is None else f" coefficient {why.index}"
+            print(f"oracle disagreement: {why.quantity}{at}: closed form "
+                  f"{rational_str(why.closed_form)}, oracle {rational_str(why.oracle)}",
+                  file=sys.stderr)
         if table is not None:
-            dp = oracle_mod.exact_distribution(auto, table.horizon)
             # Both tables hold the scaled integer columns they computed.
             series_agree = dp == table
             oracle_out["series_agree"] = series_agree
@@ -157,11 +162,11 @@ def cmd_simulate(args) -> int:
     auto = oracle_mod.build_automaton(problem)
     report = oracle_mod.monte_carlo(auto, args.reps, seed=args.seed,
                                     max_steps=args.max_steps)
-    wins, expected = oracle_mod.absorbing_solve(auto)
+    sol = solver_mod.solve_race(problem)
     patterns = [problem.alphabet.format_pattern(p) for p in problem.patterns]
     rows = []
     for name, count, freq, exact in zip(patterns, report.win_counts,
-                                        report.win_freqs, wins):
+                                        report.win_freqs, sol.win_probs):
         se = math.sqrt(float(exact) * (1 - float(exact)) / report.reps)
         z = (float(freq) - float(exact)) / se if se else 0.0
         rows.append({
@@ -177,7 +182,7 @@ def cmd_simulate(args) -> int:
         "max_steps": report.max_steps,
         "truncated": report.truncated,
         "mean_tau": rational_str(report.mean_tau) if report.mean_tau is not None else None,
-        "exact_expected_tau": rational_str(expected),
+        "exact_expected_tau": rational_str(sol.expected_tau),
         "patterns": rows,
         "histogram": {str(k): v for k, v in report.histogram.items()},
     })

@@ -3,15 +3,12 @@
 The prefix automaton is the Markov chain embedding of the race: its
 states are the proper pattern prefixes and its absorbing codes the
 patterns.  build_automaton builds it once from a RaceProblem, which is
-valid by construction; every engine then takes the automaton.  It
-drives an exact dynamic program for waiting-time distributions, on
-integer masses scaled by powers of the letter-probability denominator,
-and an absorbing-chain linear solve for win probabilities and
-expectations.  That solve runs on solver.fraction_free_solve, the
-package's one elimination kernel, but its system comes from the
-automaton, not from the correlations, and has one row per live state,
-not m + 1.  A seeded Monte Carlo simulator and a direct simulation of
-the casino-net-gain martingale provide statistical cross-checks; both
+valid by construction; every engine then takes the automaton.  The one
+exact engine is a dynamic program on integer masses scaled by powers of
+the letter-probability denominator; certify runs it far enough to prove
+every closed-form generating function equal to the chain's, sharing no
+solver code.  A seeded Monte Carlo simulator and a direct simulation of
+the casino-net-gain martingale are statistical cross-checks; both
 sample paths with one walk.
 """
 
@@ -24,14 +21,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from operator import mul
+from typing import Dict, NamedTuple, Optional
 
+from .algebra import clear_denominators
 from .correlation import correlation, evaluate
 from .model import Alphabet, Pattern, RaceProblem, pattern_prob
-from .solver import SeriesTable, fraction_free_solve
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .solver import RaceSolution, SeriesTable
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
@@ -145,50 +141,48 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
     return table
 
 
-def absorbing_solve(auto: PrefixAutomaton) -> Tuple[tuple, Fraction]:
-    """First-step analysis: exact win probabilities and expected steps.
+class Disagreement(NamedTuple):
+    """A closed form's first difference from the DP (index None: a printed value)."""
+    quantity: str
+    index: Optional[int]
+    closed_form: Fraction
+    oracle: Fraction
 
-    With d the lcm of the letter-probability denominators, the live
-    states reachable from the start give the integer system
-    d (I - P) X = d [absorb into k | 1], whose right-hand columns are
-    the m absorption probabilities and the expected-steps column.  One
-    fraction-free elimination with degree-0 entries solves it, and each
-    answer is the start row's Cramer numerator over det.
+
+def certify(auto: PrefixAutomaton, solution: RaceSolution, n: int):
+    """(the DP table to horizon n, the first Disagreement or None).
+
+    A chain generating function has numerator and denominator of degree
+    <= t = len(auto.states) and denominator 1 at 0, so N/D, D(0) != 0,
+    equals it if their series S agree on 0..h = t + max(deg N, deg D),
+    checked as D S = N on scaled integers.  Only certified functions are
+    evaluated at 1, where a wrong one may have a pole.
     """
-    m = auto.problem.num_patterns
-    if auto.start < 0:
-        wins = tuple(_ONE if k == -auto.start - 1 else _ZERO for k in range(m))
-        return wins, _ZERO
-    d = auto.problem.alphabet.denominator
-    weights = [int(p * d) for p in auto.problem.alphabet.probs]
-
-    reach = [auto.start]
-    seen = {auto.start}
-    for s in reach:
-        for code in auto.transitions[s]:
-            if code >= 0 and code not in seen:
-                seen.add(code)
-                reach.append(code)
-    idx = {s: i for i, s in enumerate(reach)}
-    t = len(reach)
-
-    a = []
-    for i, s in enumerate(reach):
-        row = [0] * (t + m + 1)
-        row[i] = d
-        row[t + m] = d  # expected-steps column
-        for code, w in zip(auto.transitions[s], weights):
-            if code < 0:
-                row[t - code - 1] += w
-            else:
-                row[idx[code]] -= w
-        a.append([[c] if c else [] for c in row])
-    det, ys = fraction_free_solve(a)
-    if not det:
-        raise OracleError("singular absorbing-chain system")
-    # Every entry is a constant polynomial; the start is reach[0].
-    sol = [Fraction(y[0][0] if y[0] else 0, det[0]) for y in ys]
-    return tuple(sol[:m]), sol[m]
+    pats = [auto.problem.alphabet.format_pattern(p) for p in auto.problem.patterns]
+    funcs = [("q_tau", solution.q_tau), ("g_total", solution.g_total)] + [
+        (f"g_{k} ({p})", g) for k, (p, g) in enumerate(zip(pats, solution.g_per_pattern), 1)]
+    h = len(auto.states) - 1 + max(len(c) for _, f in funcs for c in (f.num, f.den))
+    table = exact_distribution(auto, max(n, h))
+    d = table.d
+    totals = [sum(row) for row in zip(*table.columns)]
+    # d**i P(tau > i) = d (d**(i-1) P(tau > i-1)) - totals[i]
+    live = list(accumulate([1 - totals[0], *totals[1:]], lambda x, t: x * d - t))
+    cut = SeriesTable(d, tuple(col[:n + 1] for col in table.columns))
+    for (name, f), dp in zip(funcs, [live, totals, *table.columns]):
+        (num, den), _ = clear_denominators((f.num, f.den))
+        den = [c * d ** j for j, c in enumerate(den)]
+        for i in range(h + 1):
+            r = sum(map(mul, den, reversed(dp[max(0, i + 1 - len(den)):i + 1])))
+            r -= num[i] * d ** i if i < len(num) else 0
+            if r:
+                return cut, Disagreement(name, i, Fraction(dp[i] * den[0] - r, den[0] * d ** i),
+                                         Fraction(dp[i], d ** i))
+    values = [(f"win probability of {p}", w, g)
+              for p, w, g in zip(pats, solution.win_probs, solution.g_per_pattern)]
+    for name, printed, f in values + [("expected_tau", solution.expected_tau, solution.q_tau)]:
+        if printed != f(1):
+            return cut, Disagreement(name, None, printed, f(1))
+    return cut, None
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     # Weight per code: the correlation of each state word against b prices
     # every gambler still in the game.  The absorbing code is -1, so
     # appending (B*B) last lets lists indexed by code serve it as well.
-    weights = [evaluate(correlation(Pattern(s), b, alphabet), alpha) if s else _ZERO
+    weights = [evaluate(correlation(Pattern(s), b, alphabet), alpha) if s else Fraction(0)
                for s in auto.states]
     weights.append(bb)
     # Step thresholds: step s of a path at code c violates the bound

@@ -3,8 +3,8 @@
 The competing-pattern linear system solved exactly by one fraction-free
 elimination over Z[alpha], and exact power-series extraction of
 waiting-time distributions.  A single pattern is the race with m = 1.
-fraction_free_solve is the package's one elimination kernel: the
-absorbing-chain oracle runs on it too, with degree-0 entries.
+fraction_free_solve is the package's one elimination kernel; the
+automaton DP certifies its answers without sharing this module's code.
 
 With d the lcm of the letter-probability denominators,
 d**n * P(tau = n, k wins) is an integer, so the series recurrence runs

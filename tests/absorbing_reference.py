@@ -2,10 +2,10 @@
 
 This is the first-step analysis of the prefix automaton as plain
 Gauss-Jordan elimination over Fractions, one right-hand column per
-pattern plus one for the expected number of steps.  It builds the same
-system as `patternrace.oracle.absorbing_solve` but solves it without
-the fraction-free kernel `patternrace.solver.fraction_free_solve`, which
-the tests compare against it.
+pattern plus one for the expected number of steps.  It shares no code
+with `patternrace.solver`, and the tests compare the closed form's win
+probabilities and E[tau], and the values `patternrace.oracle.certify`
+certifies, against it.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -72,3 +73,19 @@ def rf_from_obj(obj) -> RationalFunc:
         tuple(parse_rational_str(c) for c in obj["num"]),
         tuple(parse_rational_str(c) for c in obj["den"]),
     )
+
+
+def corrupt_solution(sol, which: str):
+    """sol with the top numerator coefficient of one generating function
+    raised by 1: which is "q_tau", "g_total" or "g_1".  Returns the
+    corrupted solution and that coefficient's index, the first at which
+    the corrupted function's series differs."""
+    def bump(rf):
+        return RationalFunc(rf.num[:-1] + (rf.num[-1] + 1,), rf.den)
+
+    if which == "g_1":
+        g = sol.g_per_pattern
+        return (dataclasses.replace(sol, g_per_pattern=(bump(g[0]),) + g[1:]),
+                len(g[0].num) - 1)
+    rf = getattr(sol, which)
+    return dataclasses.replace(sol, **{which: bump(rf)}), len(rf.num) - 1

@@ -15,7 +15,6 @@ from patternrace.cli import main
 from patternrace.correlation import correlation
 from patternrace.model import RaceProblem, make_alphabet
 from patternrace.oracle import (
-    absorbing_solve,
     build_automaton,
     exact_distribution,
     martingale_check,
@@ -24,6 +23,7 @@ from patternrace.oracle import (
 from patternrace.serialize import parse_rational_str
 from patternrace.solver import series, solve_race
 
+from absorbing_reference import absorbing_solve
 from conftest import random_problem, rf_from_obj
 from cramer_reference import (
     build_system,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from patternrace import cli
 from patternrace import model as model_mod
 from patternrace import oracle as oracle_mod
+from patternrace import solver as solver_mod
 from patternrace.cli import main
 from patternrace.algebra import RationalFunc
 from patternrace.model import ValidationReport
@@ -27,7 +29,7 @@ from patternrace.serialize import (
 )
 from patternrace.solver import solve_race
 
-from conftest import rf_from_obj
+from conftest import corrupt_solution, rf_from_obj
 
 THREE_WAY = {
     "alphabet": [
@@ -138,6 +140,35 @@ def test_race_oracle_agreement(problem_file, capsys):
     assert out["oracle"]["agree"] is True
     assert out["oracle"]["series_agree"] is True
     assert out["series"]["horizon"] == 20
+
+
+@pytest.mark.parametrize("series", [[], ["--series", "3"]])
+@pytest.mark.parametrize("which, name", [
+    ("q_tau", "q_tau"), ("g_total", "g_total"), ("g_1", "g_1 (THH)")])
+def test_race_oracle_catches_a_corrupted_function(problem_file, capsys, monkeypatch,
+                                                  which, name, series):
+    # The raised coefficient lies past --series 3, where no series
+    # comparison can see it; only the certificate of the whole function can.
+    bad, index = corrupt_solution(solve_race(parse_problem(json.dumps(THREE_WAY))), which)
+    assert index > 3
+    monkeypatch.setattr(solver_mod, "solve_race", lambda problem: bad)
+    assert main(["race", problem_file, "--oracle"] + series) == 4
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"oracle disagreement: {name} coefficient {index}: ")
+    oracle = json.loads(captured.out)["oracle"]
+    assert oracle["agree"] is False
+    assert oracle["win_probs"] is None and oracle["expected_tau"] is None
+
+
+def test_race_oracle_catches_a_wrong_win_probability(problem_file, capsys, monkeypatch):
+    sol = solve_race(parse_problem(json.dumps(THREE_WAY)))
+    bad = dataclasses.replace(sol, win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
+    monkeypatch.setattr(solver_mod, "solve_race", lambda problem: bad)
+    assert main(["race", problem_file, "--oracle"]) == 4
+    assert capsys.readouterr().err == ("oracle disagreement: win probability of THH: "
+                                       "closed form 1/2, oracle 5/12\n")
 
 
 def test_race_series_zero_with_absorbing_start(tmp_path, capsys):

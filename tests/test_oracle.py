@@ -10,8 +10,8 @@ from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
     OracleError,
     PrefixAutomaton,
-    absorbing_solve,
     build_automaton,
+    certify,
     exact_distribution,
     martingale_check,
     monte_carlo,
@@ -22,7 +22,7 @@ import absorbing_reference
 import martingale_reference
 from patternrace import oracle as oracle_mod
 
-from conftest import random_problem
+from conftest import corrupt_solution, random_problem
 
 
 # ---------------------------------------------------------------------------
@@ -107,48 +107,80 @@ def test_distribution_tail_checked_against_live_mass(three_way, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# absorbing chain vs closed form
+# absorbing chain and certificate vs closed form
 
 def test_absorbing_three_way(three_way):
-    wins, expected = absorbing_solve(build_automaton(three_way))
+    wins, expected = absorbing_reference.absorbing_solve(build_automaton(three_way))
     assert wins == (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     assert expected == Fraction(31, 6)
 
 
 def test_absorbing_single_patterns(fair_coin):
     prob = RaceProblem(alphabet=fair_coin, patterns=(fair_coin.pattern("HTH"),))
-    wins, expected = absorbing_solve(build_automaton(prob))
+    wins, expected = absorbing_reference.absorbing_solve(build_automaton(prob))
     assert wins == (1,) and expected == 10
     prob = RaceProblem(alphabet=fair_coin,
                        patterns=(fair_coin.pattern("THTH"),),
                        initial=fair_coin.pattern("THH"))
-    assert absorbing_solve(build_automaton(prob))[1] == 20
+    assert absorbing_reference.absorbing_solve(build_automaton(prob))[1] == 20
+
+
+def _assert_certified(prob):
+    """certify agrees, and the values it certified at alpha = 1, the
+    printed ones, equal the Fraction reference's."""
+    auto = build_automaton(prob)
+    sol = solve_race(prob)
+    table, why = certify(auto, sol, 12)
+    assert why is None
+    assert table == exact_distribution(auto, 12)
+    assert (sol.win_probs, sol.expected_tau) == absorbing_reference.absorbing_solve(auto)
+    assert (tuple(g(1) for g in sol.g_per_pattern), sol.q_tau(1)) == \
+        (sol.win_probs, sol.expected_tau)
 
 
 @pytest.mark.parametrize("with_initial", [False, True])
 @pytest.mark.parametrize("m", range(1, 7))
-def test_absorbing_solve_equals_reference(m, with_initial):
-    rng = random.Random(f"absorbing:{m}:{with_initial}")
+def test_certify_agrees_with_reference(m, with_initial):
+    rng = random.Random(f"certify:{m}:{with_initial}")
     for _ in range(5):
-        auto = build_automaton(random_problem(rng, with_initial=with_initial, m=m))
-        assert absorbing_solve(auto) == absorbing_reference.absorbing_solve(auto)
+        _assert_certified(random_problem(rng, with_initial=with_initial, m=m))
 
 
 @pytest.mark.parametrize("initial", ["THH", "HTH", "HHT", "TTHTH"])
-def test_absorbing_solve_equals_reference_absorbed_start(fair_coin, three_way, initial):
-    auto = build_automaton(RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
-                                       initial=fair_coin.pattern(initial)))
-    assert auto.start < 0
-    assert absorbing_solve(auto) == absorbing_reference.absorbing_solve(auto)
+def test_certify_absorbed_start(fair_coin, three_way, initial):
+    prob = RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
+                       initial=fair_coin.pattern(initial))
+    assert build_automaton(prob).start < 0
+    _assert_certified(prob)
+
+
+@pytest.mark.parametrize("which, name", [
+    ("q_tau", "q_tau"), ("g_total", "g_total"), ("g_1", "g_1 (THH)")])
+def test_certify_names_a_corrupted_function(three_way, which, name):
+    bad, index = corrupt_solution(solve_race(three_way), which)
+    _, why = certify(build_automaton(three_way), bad, 3)
+    assert (why.quantity, why.index) == (name, index)
+    assert why.closed_form != why.oracle
+
+
+def test_certify_names_a_wrong_printed_value(three_way):
+    sol = solve_race(three_way)
+    auto = build_automaton(three_way)
+    bad = dataclasses.replace(sol, win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
+    _, why = certify(auto, bad, 0)
+    assert (why.quantity, why.index, why.closed_form, why.oracle) == \
+        ("win probability of THH", None, Fraction(1, 2), Fraction(5, 12))
+    bad = dataclasses.replace(sol, expected_tau=Fraction(5))
+    _, why = certify(auto, bad, 0)
+    assert (why.quantity, why.oracle) == ("expected_tau", Fraction(31, 6))
 
 
 def test_absorbing_solve_singular_chain(three_way):
     # A live state that every letter maps back to itself is never left.
     auto = PrefixAutomaton(problem=three_way, states=((),), transitions=((0, 0),),
                            start=0)
-    for solve in (absorbing_solve, absorbing_reference.absorbing_solve):
-        with pytest.raises(OracleError):
-            solve(auto)
+    with pytest.raises(OracleError):
+        absorbing_reference.absorbing_solve(auto)
 
 
 def test_solver_oracle_equivalence_random():
@@ -156,7 +188,7 @@ def test_solver_oracle_equivalence_random():
     for _ in range(40):
         prob = random_problem(rng)
         sol = solve_race(prob)
-        wins, expected = absorbing_solve(build_automaton(prob))
+        wins, expected = absorbing_reference.absorbing_solve(build_automaton(prob))
         assert wins == sol.win_probs
         assert expected == sol.expected_tau
         t = series(prob, 30, sol)

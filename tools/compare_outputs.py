@@ -6,7 +6,8 @@ PARENT_DIR and CHANGE_DIR are source checkouts, each with src/patternrace
 and bench/.  The jobs are the benchmark's own: bench/workloads.make_pass
 of this checkout writes the problem files of every workload, seeds 1-3
 and passes 0-9 into one temporary directory and returns the jobs, so both
-checkouts read the same bytes.  Each checkout runs all jobs in one worker
+checkouts read the same bytes; each race job also runs once without
+--series N, 600 jobs in all.  Each checkout runs all jobs in one worker
 process with its own bench/run.py: load_program imports patternrace.cli
 from that checkout's src, and run_job calls it in-process with stdout
 captured, as the benchmark does.  The two outputs are then compared job
@@ -16,6 +17,7 @@ same exit code in both checkouts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -39,7 +41,9 @@ def bench_module(checkout: str, name: str):
 
 
 def make_jobs(directory: str) -> list:
-    """(workload, seed, pass, job) for every benchmark job."""
+    """(workload, seed, pass, job) for every benchmark job, and for each
+    race job the same job once more without --series N, so that the
+    oracle also runs to its own horizon alone."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -47,8 +51,13 @@ def make_jobs(directory: str) -> list:
             sub = os.path.join(directory, f"{name}-seed{seed}")
             os.makedirs(sub)
             for index in range(PASSES):
-                jobs += [(name, seed, index, job)
-                         for job in workloads.make_pass(name, seed, index, sub)]
+                for job in workloads.make_pass(name, seed, index, sub):
+                    jobs.append((name, seed, index, job))
+                    if job.kind == "race":
+                        at = job.argv.index("--series")
+                        argv = job.argv[:at] + job.argv[at + 2:]
+                        jobs.append((name, seed, index,
+                                     dataclasses.replace(job, argv=argv, horizon=0)))
     return jobs
 
 

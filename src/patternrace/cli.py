@@ -86,8 +86,8 @@ def cmd_race(args) -> int:
             raise UsageError(f"--alpha {args.alpha} is a pole: {e}") from None
     mismatch = False
     if args.oracle:
-        dp, why = oracle_mod.certify(oracle_mod.build_automaton(problem), sol,
-                                     table.horizon if table is not None else 0)
+        auto = oracle_mod.build_automaton(problem)
+        dp, why = oracle_mod.certify(auto, sol, table.horizon if table is not None else 0)
         agree = why is None
         # Agreement certifies the printed values as g_k(1) and q_tau(1).
         oracle_out = {
@@ -95,16 +95,18 @@ def cmd_race(args) -> int:
             "expected_tau": rational_str(sol.expected_tau) if agree else None,
             "agree": agree,
         }
+        if table is not None:
+            # Both tables hold the scaled integer columns they computed.
+            series_agree = dp == table
+            oracle_out["series_agree"] = series_agree
+            if not series_agree and why is None:
+                why = oracle_mod.series_disagreement(auto, table, dp)
+            agree = agree and series_agree
         if why is not None:
             at = "" if why.index is None else f" coefficient {why.index}"
             print(f"oracle disagreement: {why.quantity}{at}: closed form "
                   f"{rational_str(why.closed_form)}, oracle {rational_str(why.oracle)}",
                   file=sys.stderr)
-        if table is not None:
-            # Both tables hold the scaled integer columns they computed.
-            series_agree = dp == table
-            oracle_out["series_agree"] = series_agree
-            agree = agree and series_agree
         out["oracle"] = oracle_out
         mismatch = not agree
     if args.table:

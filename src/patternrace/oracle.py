@@ -98,45 +98,53 @@ def exact_distribution(auto: PrefixAutomaton, n: int) -> SeriesTable:
     With d the lcm of the letter-probability denominators, the mass at
     step t is carried as an integer scaled by d**t: each letter moves it
     with the integer weight d * p_a, and the table holds the absorbed
-    integers.  Every step checks that the live and absorbed masses sum
-    to d**t, and the table's tail is checked against the live mass left
-    at step n.
+    integers.  The letters of a state that lead to one code move its mass
+    as one, and the live masses sit in a list indexed by state.  Every
+    step checks that the live and absorbed masses sum to d**t, and the
+    table's tail is checked against the live mass left at step n.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     m = auto.problem.num_patterns
     d = auto.problem.alphabet.denominator
     weights = [int(p * d) for p in auto.problem.alphabet.probs]
+    # moves[s]: (code, summed weight) once per code that state s reaches
+    moves = []
+    for row in auto.transitions:
+        merged: Dict[int, int] = {}
+        for code, w in zip(row, weights):
+            merged[code] = merged.get(code, 0) + w
+        moves.append(tuple(merged.items()))
     per = [[0] * (n + 1) for _ in range(m)]
+    live = [0] * len(auto.states)
     if auto.start < 0:
         per[-auto.start - 1][0] = 1
         absorbed = 1
-        live: Dict[int, int] = {}
     else:
         absorbed = 0
-        live = {auto.start: 1}
+        live[auto.start] = 1
     scale = 1
     for t in range(1, n + 1):
         scale *= d
         absorbed *= d
-        nxt: Dict[int, int] = {}
-        for s, mass in live.items():
-            row = auto.transitions[s]
-            for a, w in enumerate(weights):
-                code = row[a]
+        nxt = [0] * len(live)
+        for s, mass in enumerate(live):
+            if not mass:
+                continue
+            for code, w in moves[s]:
                 chunk = mass * w
                 if code < 0:
                     per[-code - 1][t] += chunk
                     absorbed += chunk
                 else:
-                    nxt[code] = nxt.get(code, 0) + chunk
+                    nxt[code] += chunk
         live = nxt
-        if sum(live.values()) + absorbed != scale:
+        if sum(live) + absorbed != scale:
             raise OracleError("mass conservation violated in DP")
     table = SeriesTable(d, tuple(map(tuple, per)))
     # The live mass is the tail the DP tracked itself; the table derives
     # it from the absorbed columns.
-    if table.tail_mass != Fraction(sum(live.values()), scale):
+    if table.scaled_tail() != sum(live):
         raise OracleError("DP tail disagrees with its absorbed columns")
     return table
 
@@ -164,7 +172,7 @@ def certify(auto: PrefixAutomaton, solution: RaceSolution, n: int):
     h = len(auto.states) - 1 + max(len(c) for _, f in funcs for c in (f.num, f.den))
     table = exact_distribution(auto, max(n, h))
     d = table.d
-    totals = [sum(row) for row in zip(*table.columns)]
+    totals = table.scaled_totals()
     # d**i P(tau > i) = d (d**(i-1) P(tau > i-1)) - totals[i]
     live = list(accumulate([1 - totals[0], *totals[1:]], lambda x, t: x * d - t))
     cut = SeriesTable(d, tuple(col[:n + 1] for col in table.columns))
@@ -183,6 +191,21 @@ def certify(auto: PrefixAutomaton, solution: RaceSolution, n: int):
         if printed != f(1):
             return cut, Disagreement(name, None, printed, f(1))
     return cut, None
+
+
+def series_disagreement(auto: PrefixAutomaton, table: SeriesTable,
+                        dp: SeriesTable) -> Optional[Disagreement]:
+    """The first entry in which the closed-form table differs from the
+    DP table of the same problem and horizon, or None."""
+    d = table.d
+    for k, (p, col, dp_col) in enumerate(zip(auto.problem.patterns, table.columns,
+                                             dp.columns)):
+        for i, (c, o) in enumerate(zip(col, dp_col)):
+            if c != o:
+                name = auto.problem.alphabet.format_pattern(p)
+                return Disagreement(f"series per_pattern[{k}] ({name})", i,
+                                    Fraction(c, d ** i), Fraction(o, d ** i))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ import decimal
 import hashlib
 import json
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd
+from operator import mul
 from typing import Optional, Tuple, Union
 
 from . import __version__
@@ -36,16 +39,18 @@ class ParseError(ValueError):
     pass
 
 
-def rational_str(x: Fraction) -> str:
+def int_str(v: int) -> str:
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(v)
     except ValueError:
         # Past sys.get_int_max_str_digits(); Decimal conversion is exact
         # and not subject to that limit.
-        num, den = (str(decimal.Decimal(v)) for v in (x.numerator, x.denominator))
-        return num if x.denominator == 1 else f"{num}/{den}"
+        return str(decimal.Decimal(v))
+
+
+def rational_str(x: Fraction) -> str:
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def parse_rational_str(text: Union[str, int]) -> Fraction:
@@ -139,14 +144,59 @@ def rf_to_obj(rf: RationalFunc) -> dict:
     }
 
 
+# The gcd of a table entry with d**n is first taken against the largest
+# power of d below this: a word-sized operand, so that gcd costs about
+# one pass over the entry.
+_SMALL_POWER = 2 ** 60
+
+
+def scaled_printer(d: int, horizon: int):
+    """A function show(c, n) that prints c / d**n, 0 <= n <= horizon, as
+    rational_str prints Fraction(c, d**n), without building the Fraction.
+
+    For k <= n, g = gcd(c, d**k) is already gcd(c, d**n) when c // g is
+    coprime to d: every prime p of d then has v_p(c) = v_p(g) <= k v_p(d).
+    So k starts at min(n, s), with s the largest exponent such that
+    d**s < 2**60, and doubles until that holds or k = n; d, an lcm the
+    user supplies, is never factored.  The denominator strings are cached
+    by value, since many entries share one; the cache lives as long as
+    show.
+    """
+    powers = list(accumulate(repeat(d, horizon), mul, initial=1))
+    s = 0
+    while s < horizon and powers[s + 1] < _SMALL_POWER:
+        s += 1
+    dens = {1: ""}
+
+    def show(c: int, n: int) -> str:
+        if not c:
+            return "0"
+        k = min(n, s)
+        g = gcd(c, powers[k])
+        num = c // g
+        while k < n and gcd(num, d) > 1:
+            k = min(2 * k, n) if k else 1
+            g = gcd(c, powers[k])
+            num = c // g
+        den = powers[n] // g
+        tail = dens.get(den)
+        if tail is None:
+            tail = dens[den] = "/" + int_str(den)
+        return int_str(num) + tail
+
+    return show
+
+
 def series_to_obj(table: SeriesTable) -> dict:
+    """The table printed straight from its scaled integers."""
+    show = scaled_printer(table.d, table.horizon)
     return {
         "horizon": table.horizon,
         "per_pattern": [
-            [rational_str(c) for c in col] for col in table.per_pattern
+            [show(c, n) for n, c in enumerate(col)] for col in table.columns
         ],
-        "totals": [rational_str(c) for c in table.totals],
-        "tail_mass": rational_str(table.tail_mass),
+        "totals": [show(c, n) for n, c in enumerate(table.scaled_totals())],
+        "tail_mass": show(table.scaled_tail(), table.horizon),
     }
 
 

@@ -8,15 +8,14 @@ automaton DP certifies its answers without sharing this module's code.
 
 With d the lcm of the letter-probability denominators,
 d**n * P(tau = n, k wins) is an integer, so the series recurrence runs
-on those integers and the SeriesTable holds them; a Fraction is built
-only where a value is read.
+on those integers and the SeriesTable holds them; serialize prints them
+without building a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from operator import mul
 from typing import List, Optional, Sequence
 
@@ -229,11 +228,6 @@ class SeriesTable:
     with d the lcm of the letter-probability denominators.  columns is
     a tuple of tuples, so two tables are equal exactly when their
     integers are.
-
-    The Fractions are built when read: per_pattern[k][n] is the
-    probability that the race ends at step n with pattern k; totals[n]
-    sums the row; tail_mass is the probability the race is still
-    running after the horizon.
     """
 
     d: int
@@ -243,29 +237,17 @@ class SeriesTable:
     def horizon(self) -> int:
         return len(self.columns[0]) - 1
 
-    def _powers(self) -> list:
-        return list(accumulate(repeat(self.d, self.horizon), mul, initial=1))
-
-    def _totals(self) -> list:
+    def scaled_totals(self) -> list:
+        """d**n * P(tau = n) for n = 0..horizon."""
         return [sum(row) for row in zip(*self.columns)]
 
-    @property
-    def per_pattern(self) -> tuple:
-        powers = self._powers()
-        return tuple(tuple(map(Fraction, col, powers)) for col in self.columns)
-
-    @property
-    def totals(self) -> tuple:
-        return tuple(map(Fraction, self._totals(), self._powers()))
-
-    @property
-    def tail_mass(self) -> Fraction:
+    def scaled_tail(self) -> int:
+        """d**horizon * P(tau > horizon), derived from the columns."""
         # sum_n totals[n] * d**(horizon - n), by Horner's rule
         absorbed = 0
-        for t in self._totals():
+        for t in self.scaled_totals():
             absorbed = absorbed * self.d + t
-        top = self.d ** self.horizon
-        return Fraction(top - absorbed, top)
+        return self.d ** self.horizon - absorbed
 
 
 def series(problem: RaceProblem, n: int,

@@ -4,7 +4,8 @@ This is the term-by-term rational recurrence den * c = num, solved for
 c_i with Fraction arithmetic on the canonical coefficients.  It needs no
 scale and no integer clearing, so it is independent of the integer
 kernel `patternrace.solver.power_series`, which the tests compare
-against it.
+against it.  The Fraction views of a SeriesTable (per_pattern, totals,
+tail_mass) live here too: only the tests read them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from patternrace.algebra import RationalFunc
-from patternrace.solver import RaceSolution, ZeroConstantDenominatorError
+from patternrace.solver import RaceSolution, SeriesTable, ZeroConstantDenominatorError
 
 _ZERO = Fraction(0)
 
@@ -35,7 +36,27 @@ def power_series(rf: RationalFunc, n: int) -> list:
 
 def series_table(solution: RaceSolution, n: int) -> tuple:
     """The distribution table summed in Fractions: the triple
-    (per_pattern, totals, tail_mass) of a SeriesTable."""
+    (per_pattern(t), totals(t), tail_mass(t)) of a SeriesTable t."""
     per = tuple(tuple(power_series(g, n)) for g in solution.g_per_pattern)
-    totals = tuple(sum(col[i] for col in per) for i in range(n + 1))
-    return per, totals, 1 - sum(totals)
+    row_sums = tuple(sum(col[i] for col in per) for i in range(n + 1))
+    return per, row_sums, 1 - sum(row_sums)
+
+
+# Fraction views of a SeriesTable, each entry divided by its own power
+# of d; the program prints the scaled integers without building them.
+
+def per_pattern(t: SeriesTable) -> tuple:
+    """per_pattern(t)[k][n]: the probability that the race ends at step n
+    with pattern k."""
+    return tuple(tuple(Fraction(c, t.d ** n) for n, c in enumerate(col))
+                 for col in t.columns)
+
+
+def totals(t: SeriesTable) -> tuple:
+    """totals(t)[n]: the probability that the race ends at step n."""
+    return tuple(sum(col[n] for col in per_pattern(t)) for n in range(t.horizon + 1))
+
+
+def tail_mass(t: SeriesTable) -> Fraction:
+    """The probability that the race is still running after the horizon."""
+    return 1 - sum(totals(t))

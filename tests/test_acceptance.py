@@ -127,10 +127,7 @@ def test_criterion_5_randomized_equivalence():
         assert wins == sol.win_probs
         assert expected == sol.expected_tau
         t = series(prob, 40, sol)
-        d = exact_distribution(build_automaton(prob), 40)
-        assert t.per_pattern == d.per_pattern
-        assert t.totals == d.totals
-        assert t.tail_mass == d.tail_mass
+        assert t == exact_distribution(build_automaton(prob), 40)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"randomized equivalence took {elapsed:.1f}s"
     report(5, f"{n} random problems, solver == oracle exactly, {elapsed:.1f}s")
@@ -185,7 +182,7 @@ def test_criterion_7_structural_invariants():
         assert sum(sol.win_probs) == 1
         assert all(p >= 0 for p in sol.win_probs)
         t = series(prob, 25, sol)
-        for col in t.per_pattern:
+        for col in t.columns:
             assert all(c >= 0 for c in col)
         # the DP itself asserts mass conservation at every step
         exact_distribution(build_automaton(prob), 25)

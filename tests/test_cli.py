@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from patternrace import cli
 from patternrace import model as model_mod
 from patternrace import oracle as oracle_mod
+from patternrace import serialize as serialize_mod
 from patternrace import solver as solver_mod
 from patternrace.cli import main
 from patternrace.algebra import RationalFunc
@@ -25,6 +28,7 @@ from patternrace.serialize import (
     parse_rational_str,
     rational_str,
     rf_to_obj,
+    scaled_printer,
     ParseError,
 )
 from patternrace.solver import solve_race
@@ -169,6 +173,27 @@ def test_race_oracle_catches_a_wrong_win_probability(problem_file, capsys, monke
     assert main(["race", problem_file, "--oracle"]) == 4
     assert capsys.readouterr().err == ("oracle disagreement: win probability of THH: "
                                        "closed form 1/2, oracle 5/12\n")
+
+
+def test_race_oracle_names_a_corrupted_series_entry(problem_file, capsys, monkeypatch):
+    # Every function is certified, so only the series comparison sees it.
+    series = solver_mod.series
+
+    def bad_series(problem, n, solution=None):
+        t = series(problem, n, solution)
+        col = t.columns[0]
+        return dataclasses.replace(t, columns=(col[:5] + (col[5] + 1,) + col[6:],)
+                                   + t.columns[1:])
+
+    monkeypatch.setattr(solver_mod, "series", bad_series)
+    assert main(["race", problem_file, "--oracle", "--series", "8"]) == 4
+    captured = capsys.readouterr()
+    # P(tau = 5, THH wins) = 1/16 in the three-way coin race
+    assert captured.err == ("oracle disagreement: series per_pattern[0] (THH) "
+                            "coefficient 5: closed form 3/32, oracle 1/16\n")
+    oracle = json.loads(captured.out)["oracle"]
+    assert oracle["agree"] is True and oracle["series_agree"] is False
+    assert oracle["win_probs"] == ["5/12", "1/3", "1/4"]
 
 
 def test_race_series_zero_with_absorbing_start(tmp_path, capsys):
@@ -380,6 +405,52 @@ def test_rational_str_past_int_str_digit_limit():
     digits = "9" * 4999 + "7"
     assert rational_str(Fraction(n)) == digits
     assert rational_str(Fraction(-n, 2)) == f"-{digits}/2"
+
+
+# d**s < 2**60 <= d**(s+1) for each d; 1 and the two large moduli give
+# s = horizon and s = 0.
+PRINTER_MODULI = [1, 2, 6, 9, 12, 1000, 2 ** 61 - 1, (2 ** 89 - 1) * (2 ** 107 - 1)]
+
+
+@pytest.mark.parametrize("d", PRINTER_MODULI)
+def test_scaled_printer_equals_rational_str(d, monkeypatch):
+    horizon = 80
+    s = next((k for k in range(horizon + 1) if d ** (k + 1) >= 2 ** 60), horizon)
+    calls = 0
+
+    def counting_gcd(a, b):
+        nonlocal calls
+        calls += 1
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(serialize_mod, "gcd", counting_gcd)
+    show = scaled_printer(d, horizon)
+    rng = random.Random(f"printer:{d}")
+    cases = [(0, n) for n in (0, s, horizon)]
+    cases += [(rng.getrandbits(rng.randint(1, 2000)), rng.randint(0, horizon))
+              for _ in range(200)]
+    # C = d**k * u with k > s: gcd(C, d**s) leaves a factor shared with d,
+    # and k up to the horizon makes the fallback double its exponent
+    cases += [(d ** k * rng.randint(1, 10 ** 6), rng.randint(k - 1, horizon))
+              for k in (rng.randint(s + 1, horizon) for _ in range(100) if s < horizon)]
+    fallbacks = 0
+    for c, n in cases:
+        before = calls
+        assert show(c, n) == rational_str(Fraction(c, d ** n))
+        # Past d**s one gcd checks the cofactor; only the fallback, a gcd
+        # with a higher power of d, takes more.
+        full = c and n > s and math.gcd(c // math.gcd(c, d ** s), d) > 1
+        used = calls - before
+        assert used >= 3 if full else used == (0 if not c else 1 if n <= s else 2)
+        fallbacks += bool(full)
+    assert fallbacks > 0 if s < horizon else fallbacks == 0
+
+
+def test_scaled_printer_past_int_str_digit_limit():
+    show = scaled_printer(1000, 1600)
+    c = 7 * 10 ** 4600 + 3
+    assert show(c, 1500) == rational_str(Fraction(c, 1000 ** 1500))
+    assert show(10 ** 4800, 1500) == "1" + "0" * 300
 
 
 # ---------------------------------------------------------------------------

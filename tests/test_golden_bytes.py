@@ -3,6 +3,9 @@ and of `race FILE --alpha 9/10` on the one with an initial word.
 
 The series sha256s were recorded with the term-by-term Fraction series
 and DP; the integer-scaled kernels must print the same bytes.  The
+past-limit sha256 was recorded with every table entry built as a
+Fraction before it was printed; printing from the scaled integers must
+give the same bytes.  The
 --alpha sha256 was recorded with rational functions canonicalised and
 evaluated on Fraction polynomials; the integer canonicalisation must
 print the same bytes.  The input digest in the output hashes the file's
@@ -113,4 +116,25 @@ def test_correlate_stdout_bytes(tmp_path, capsys, name):
     path.write_text(json.dumps(PROBLEMS["initial"][0]))
     assert main(["correlate", str(path)] + argv) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Letters 1/1000 and 999/1000: the table's denominators reach 1000**1500,
+# 4,501 digits, past Python's default int-to-str limit of 4,300, so the
+# numerators and denominators print through the Decimal path.
+PAST_LIMIT = (
+    {"alphabet": [{"symbol": "a", "prob": "1/1000"}, {"symbol": "b", "prob": "999/1000"}],
+     "patterns": ["ab", "bba"]},
+    ["--series", "1500"],
+    "4f62339a92a01b1a0b31d909c8dbed92f684a4a022a3435b4ee355ad483dc549",
+)
+
+
+def test_race_series_past_int_str_limit_stdout_bytes(tmp_path, capsys):
+    obj, argv, digest = PAST_LIMIT
+    path = tmp_path / "past_limit.json"
+    path.write_text(json.dumps(obj))
+    assert main(["race", str(path)] + argv) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["series"]["tail_mass"]) > 2 * 4300
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -20,6 +20,7 @@ from patternrace.solver import SeriesTable, series, solve_race
 
 import absorbing_reference
 import martingale_reference
+from series_reference import per_pattern, tail_mass, totals
 from patternrace import oracle as oracle_mod
 
 from conftest import corrupt_solution, random_problem
@@ -70,8 +71,8 @@ def test_automaton_absorbing_start(fair_coin, three_way):
 def test_distribution_geometric(fair_coin):
     prob = RaceProblem(alphabet=fair_coin, patterns=(fair_coin.pattern("H"),))
     t = exact_distribution(build_automaton(prob), 8)
-    assert t.totals[0] == 0
-    assert [t.totals[n] for n in range(1, 9)] == \
+    assert totals(t)[0] == 0
+    assert [totals(t)[n] for n in range(1, 9)] == \
         [Fraction(1, 2 ** n) for n in range(1, 9)]
 
 
@@ -79,29 +80,29 @@ def test_distribution_absorbing_start(fair_coin, three_way):
     prob = RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
                        initial=fair_coin.pattern("THH"))
     t = exact_distribution(build_automaton(prob), 3)
-    assert t.per_pattern[0][0] == 1
-    assert t.tail_mass == 0
+    assert per_pattern(t)[0][0] == 1
+    assert tail_mass(t) == 0
 
 
 def test_distribution_three_way_limits(three_way):
     t = exact_distribution(build_automaton(three_way), 80)
-    absorbed = [sum(col) for col in t.per_pattern]
+    absorbed = [sum(col) for col in per_pattern(t)]
     exact = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
     for got, want in zip(absorbed, exact):
-        assert abs(got - want) <= t.tail_mass
+        assert abs(got - want) <= tail_mass(t)
 
 
 def test_distribution_tail_checked_against_live_mass(three_way, monkeypatch):
-    # series and the DP share SeriesTable's derivation of the tail from
-    # the absorbed columns, so the DP checks it against the live mass it
-    # tracked itself.
-    tail = SeriesTable.tail_mass.fget
+    # The printed tail and the DP's check share SeriesTable's derivation
+    # of the tail from the absorbed columns, so the DP checks it against
+    # the live mass it tracked itself.
+    tail = SeriesTable.scaled_tail
 
     def wrong_tail(t):
-        return tail(t) + Fraction(1, t.d ** t.horizon)
+        return tail(t) + 1
 
     exact_distribution(build_automaton(three_way), 5)
-    monkeypatch.setattr(SeriesTable, "tail_mass", property(wrong_tail))
+    monkeypatch.setattr(SeriesTable, "scaled_tail", wrong_tail)
     with pytest.raises(OracleError, match="tail"):
         exact_distribution(build_automaton(three_way), 5)
 
@@ -192,10 +193,7 @@ def test_solver_oracle_equivalence_random():
         assert wins == sol.win_probs
         assert expected == sol.expected_tau
         t = series(prob, 30, sol)
-        d = exact_distribution(build_automaton(prob), 30)
-        assert t.per_pattern == d.per_pattern
-        assert t.totals == d.totals
-        assert t.tail_mass == d.tail_mass
+        assert t == exact_distribution(build_automaton(prob), 30)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from patternrace.solver import (
 )
 
 import series_reference
+from series_reference import per_pattern, tail_mass, totals
 from conftest import random_problem
 from cramer_reference import (
     build_system,
@@ -423,19 +424,19 @@ def test_degenerate_collection_raises_on_both_paths(fair_coin, monkeypatch):
 def test_series_geometric(fair_coin):
     prob = RaceProblem(alphabet=fair_coin, patterns=(fair_coin.pattern("H"),))
     t = series(prob, 5)
-    assert t.totals[0] == 0
-    assert [t.totals[n] for n in range(1, 6)] == \
+    assert totals(t)[0] == 0
+    assert [totals(t)[n] for n in range(1, 6)] == \
         [Fraction(1, 2 ** n) for n in range(1, 6)]
-    assert t.tail_mass == Fraction(1, 32)
+    assert tail_mass(t) == Fraction(1, 32)
 
 
 def test_series_initial_ends_with_pattern(fair_coin, three_way):
     p = RaceProblem(alphabet=fair_coin, patterns=three_way.patterns,
                     initial=fair_coin.pattern("HTH"))
     t = series(p, 4)
-    assert t.per_pattern[1][0] == 1
-    assert all(t.totals[n] == 0 for n in range(1, 5))
-    assert t.tail_mass == 0
+    assert per_pattern(t)[1][0] == 1
+    assert all(totals(t)[n] == 0 for n in range(1, 5))
+    assert tail_mass(t) == 0
 
 
 def test_series_nonnegative_random():
@@ -443,11 +444,12 @@ def test_series_nonnegative_random():
     for _ in range(15):
         prob = random_problem(rng)
         t = series(prob, 25)
-        for col in t.per_pattern:
+        for col in t.columns:
             assert all(c >= 0 for c in col)
-        assert t.tail_mass >= 0
-        assert all(t.totals[n] == sum(col[n] for col in t.per_pattern)
-                   for n in range(26))
+        assert tail_mass(t) >= 0
+        assert t.scaled_tail() == tail_mass(t) * t.d ** t.horizon
+        assert all(Fraction(c, t.d ** n) == totals(t)[n]
+                   for n, c in enumerate(t.scaled_totals()))
 
 
 def _assert_three_tables_equal(prob, n):
@@ -455,7 +457,7 @@ def _assert_three_tables_equal(prob, n):
     sol = solve_race(prob)
     t = series(prob, n, sol)
     assert t.horizon == n
-    assert (t.per_pattern, t.totals, t.tail_mass) == series_reference.series_table(sol, n)
+    assert (per_pattern(t), totals(t), tail_mass(t)) == series_reference.series_table(sol, n)
     assert t == exact_distribution(build_automaton(prob), n)
     return t
 
@@ -476,11 +478,11 @@ def test_series_single_letter_alphabet():
     assert one.denominator == 1
     prob = RaceProblem(alphabet=one, patterns=(one.pattern("aaa"),))
     t = _assert_three_tables_equal(prob, 50)
-    assert t.totals[3] == 1 and sum(t.totals) == 1 and t.tail_mass == 0
+    assert totals(t)[3] == 1 and sum(totals(t)) == 1 and tail_mass(t) == 0
     prob = RaceProblem(alphabet=one, patterns=(one.pattern("aaa"),),
                        initial=one.pattern("a"))
     t = _assert_three_tables_equal(prob, 1)
-    assert t.totals == (0, 0) and t.tail_mass == 1
+    assert totals(t) == (0, 0) and tail_mass(t) == 1
 
 
 @pytest.mark.parametrize("initial", ["HTH", "THH"])
@@ -489,7 +491,7 @@ def test_series_start_already_absorbed(fair_coin, three_way, initial):
                        initial=fair_coin.pattern(initial))
     for n in (0, 1, 50):
         t = _assert_three_tables_equal(prob, n)
-        assert t.totals == (1,) + (0,) * n and t.tail_mass == 0
+        assert totals(t) == (1,) + (0,) * n and tail_mass(t) == 0
 
 
 def test_power_series_wrong_scale_raises():

@@ -7,10 +7,13 @@ and bench/.  The jobs are the benchmark's own: bench/workloads.make_pass
 of this checkout writes the problem files of every workload, seeds 1-3
 and passes 0-9 into one temporary directory and returns the jobs, so both
 checkouts read the same bytes; each race job also runs once without
---series N, 600 jobs in all.  Each checkout runs all jobs in one worker
-process with its own bench/run.py: load_program imports patternrace.cli
-from that checkout's src, and run_job calls it in-process with stdout
-captured, as the benchmark does.  The two outputs are then compared job
+--series N, 600 jobs in all.  Two more jobs, `race --series 1500` with
+and without --oracle on letters 1/1000 and 999/1000, print integers of
+4,501 digits, past Python's default int-to-str limit, so the Decimal
+path of the printer is diffed too.  Each checkout runs all jobs in one
+worker process with its own bench/run.py: load_program imports
+patternrace.cli from that checkout's src, and run_job calls it
+in-process with stdout captured, as the benchmark does.  The two outputs are then compared job
 by job.  Exit status 0 means every job printed the same stdout with the
 same exit code in both checkouts.
 """
@@ -29,6 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("race_initial", "race_series", "simulate")
 SEEDS = (1, 2, 3)
 PASSES = 10
+# Denominators up to 1000**1500: 4,501 digits, past the 4,300-digit limit.
+PAST_LIMIT = {"weights": {"a": 1, "b": 999}, "patterns": ["ab", "bba"], "initial": None}
+PAST_LIMIT_HORIZON = 1500
 
 
 def bench_module(checkout: str, name: str):
@@ -43,7 +49,8 @@ def bench_module(checkout: str, name: str):
 def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
-    oracle also runs to its own horizon alone."""
+    oracle also runs to its own horizon alone; then the two past-limit
+    jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -58,6 +65,12 @@ def make_jobs(directory: str) -> list:
                         argv = job.argv[:at] + job.argv[at + 2:]
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=argv, horizon=0)))
+    path = os.path.join(directory, "past-limit.json")
+    workloads.write_problem(PAST_LIMIT, path)
+    for oracle in ([], ["--oracle"]):
+        argv = ["race", path, "--series", str(PAST_LIMIT_HORIZON)] + oracle
+        jobs.append(("past_limit", 0, 0, workloads.Job("race", argv, PAST_LIMIT,
+                                                       horizon=PAST_LIMIT_HORIZON)))
     return jobs
 
 

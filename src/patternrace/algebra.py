@@ -1,8 +1,9 @@
 """Exact arithmetic in the variable alpha.
 
-Dense integer polynomials (int lists) and canonical rational
-functions, the one field the package computes in.
-Everything here is exact; no floats.
+Dense integer polynomials (int lists) and canonical rational functions,
+the one field the package computes in.  A rational function is kept as
+a pair of integer polynomials in lowest terms; its Fraction coefficients
+are built only when printed.  Everything here is exact; no floats.
 """
 
 from __future__ import annotations
@@ -113,125 +114,125 @@ def poly_gcd(a: list, b: list) -> list:
     return x
 
 
+# Coprimality decided mod a prime below 2**30 before the PRS runs: the
+# images mod _P of a coprime pair almost always have a constant gcd.
+_P = 2 ** 30 - 35
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """Remainder of a by b over GF(_P); both reduced mod _P, b[-1] != 0."""
+    r = list(a)
+    n = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    low = b[:-1]
+    for top in range(len(r) - 1, n - 1, -1):
+        q = r[top] * inv % _P
+        if q:
+            r[top - n:top] = [(c - q * bc) % _P for c, bc in zip(r[top - n:top], low)]
+    del r[n:]
+    return ipoly_trim(r)
+
+
+def coprime_mod_p(a: list, b: list) -> bool:
+    """True when the images of two trimmed nonzero integer polynomials
+    mod _P prove them coprime over Q; False when they cannot.
+
+    If _P divides neither leading coefficient and gcd(a mod _P, b mod _P)
+    is a constant, a and b are coprime: a common factor h, taken
+    primitive in Z[alpha], divides both over Z (Gauss's lemma), so lc(h)
+    divides lc(a), h mod _P keeps its degree and would divide both
+    images.
+    """
+    x = [c % _P for c in a]
+    y = [c % _P for c in b]
+    if not x[-1] or not y[-1]:
+        return False
+    while len(y) > 1:
+        x, y = y, _rem_mod_p(x, y)
+    return bool(y)
+
+
 # ---------------------------------------------------------------------------
+
+def _scaled_value(coeffs: tuple, p: int, q: int, k: int) -> int:
+    """q**k * P(p/q) for the polynomial P of degree <= k with these
+    coefficients: sum c_i p**i q**(k - i), by Horner's rule."""
+    acc = 0
+    qk = q ** (k + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
 
 class RationalFunc:
     """Ratio of polynomials in alpha, kept in canonical form.
 
-    Canonical means gcd(num, den) = 1 and the denominator is monic, so
+    inum and iden are tuples of ints, ascending exponents, with
+    gcd(inum, iden) = 1 as polynomials, no integer above 1 dividing
+    every coefficient of both, and iden[-1] > 0.  That pair is unique, so
     structural equality coincides with equality in the fraction field.
-    num and den are tuples of Fraction coefficients, ascending exponents.
+    num and den are the Fraction coefficients with iden made monic,
+    built on demand for printing.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("inum", "iden")
 
     def __init__(self, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)):
         """num and den are coefficient sequences of ints or Fractions.
 
-        Both are cleared to Z[alpha] and divided exactly by their
-        primitive gcd; the monic Fraction parts are built once."""
+        Both are cleared to Z[alpha]; they are divided by their primitive
+        gcd only when coprime_mod_p cannot show it is 1, then by their
+        joint integer content, signed so that the leading denominator
+        coefficient is positive."""
         (num, den), _ = clear_denominators((num, den))
         num, den = ipoly_trim(num), ipoly_trim(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             den = [1]
-        else:
+        elif not coprime_mod_p(num, den):
             g = poly_gcd(num, den)
             if len(g) > 1:
                 num = ipoly_exact_div(num, g)
                 den = ipoly_exact_div(den, g)
-        lc = den[-1]
-        self.num = tuple(Fraction(c, lc) for c in num)
-        self.den = tuple(Fraction(c, lc) for c in den)
+        c = gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num = [x // c for x in num]
+            den = [x // c for x in den]
+        self.inum = tuple(num)
+        self.iden = tuple(den)
 
-    @classmethod
-    def const(cls, c: Scalar) -> "RationalFunc":
-        return cls((c,))
+    @property
+    def num(self) -> tuple:
+        lc = self.iden[-1]
+        return tuple(Fraction(c, lc) for c in self.inum)
 
-    @classmethod
-    def zero(cls) -> "RationalFunc":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RationalFunc":
-        return cls((1,))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def _int_parts(self):
-        """(N, D), integer polynomials with N / D = self."""
-        return clear_denominators((self.num, self.den))[0]
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self - (-other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(RationalFunc)
-        out.num = tuple(-c for c in self.num)
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        (a, b), (c, d) = self._int_parts(), other._int_parts()
-        return RationalFunc(ipoly_sub(ipoly_mul(a, d), ipoly_mul(c, b)), ipoly_mul(b, d))
-
-    def __rsub__(self, other):
-        return _as_rf(other) - self
-
-    def __mul__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        (a, b), (c, d) = self._int_parts(), other._int_parts()
-        return RationalFunc(ipoly_mul(a, c), ipoly_mul(b, d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        (a, b), (c, d) = self._int_parts(), other._int_parts()
-        return RationalFunc(ipoly_mul(a, d), ipoly_mul(b, c))
-
-    def __rtruediv__(self, other):
-        return _as_rf(other) / self
+    @property
+    def den(self) -> tuple:
+        lc = self.iden[-1]
+        return tuple(Fraction(c, lc) for c in self.iden)
 
     def __call__(self, x: Scalar) -> Fraction:
+        """The value at alpha = x = p/q: with k the larger degree,
+        q**k N(x) / (q**k D(x)), each an integer sum, and one Fraction."""
         x = Fraction(x)
-        d = sum(c * x ** i for i, c in enumerate(self.den))
+        p, q = x.numerator, x.denominator
+        k = max(len(self.inum), len(self.iden)) - 1
+        d = _scaled_value(self.iden, p, q, k)
         if not d:
             raise ZeroDivisionError(f"denominator vanishes at alpha = {x}")
-        return sum(c * x ** i for i, c in enumerate(self.num)) / d
+        return Fraction(_scaled_value(self.inum, p, q, k), d)
 
     def __eq__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.inum == other.inum and self.iden == other.iden
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.inum, self.iden))
 
     def __repr__(self):
-        return f"RationalFunc(num={list(self.num)}, den={list(self.den)})"
-
-
-def _as_rf(x):
-    if isinstance(x, RationalFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunc.const(x)
-    return NotImplemented
+        return f"RationalFunc(num={list(self.inum)}, den={list(self.iden)})"

@@ -20,11 +20,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Dict, NamedTuple, Optional
 
-from .algebra import clear_denominators
 from .correlation import correlation, evaluate
 from .model import Alphabet, Pattern, RaceProblem, pattern_prob
 from .solver import RaceSolution, SeriesTable
@@ -169,27 +168,29 @@ def certify(auto: PrefixAutomaton, solution: RaceSolution, n: int):
     pats = [auto.problem.alphabet.format_pattern(p) for p in auto.problem.patterns]
     funcs = [("q_tau", solution.q_tau), ("g_total", solution.g_total)] + [
         (f"g_{k} ({p})", g) for k, (p, g) in enumerate(zip(pats, solution.g_per_pattern), 1)]
-    h = len(auto.states) - 1 + max(len(c) for _, f in funcs for c in (f.num, f.den))
+    h = len(auto.states) - 1 + max(len(c) for _, f in funcs for c in (f.inum, f.iden))
     table = exact_distribution(auto, max(n, h))
     d = table.d
+    powers = list(accumulate(repeat(d, h), mul, initial=1))
     totals = table.scaled_totals()
     # d**i P(tau > i) = d (d**(i-1) P(tau > i-1)) - totals[i]
     live = list(accumulate([1 - totals[0], *totals[1:]], lambda x, t: x * d - t))
     cut = SeriesTable(d, tuple(col[:n + 1] for col in table.columns))
     for (name, f), dp in zip(funcs, [live, totals, *table.columns]):
-        (num, den), _ = clear_denominators((f.num, f.den))
-        den = [c * d ** j for j, c in enumerate(den)]
+        num = f.inum
+        den = list(map(mul, f.iden, powers))
         for i in range(h + 1):
             r = sum(map(mul, den, reversed(dp[max(0, i + 1 - len(den)):i + 1])))
-            r -= num[i] * d ** i if i < len(num) else 0
+            r -= num[i] * powers[i] if i < len(num) else 0
             if r:
-                return cut, Disagreement(name, i, Fraction(dp[i] * den[0] - r, den[0] * d ** i),
-                                         Fraction(dp[i], d ** i))
+                return cut, Disagreement(name, i, Fraction(dp[i] * den[0] - r, den[0] * powers[i]),
+                                         Fraction(dp[i], powers[i]))
     values = [(f"win probability of {p}", w, g)
               for p, w, g in zip(pats, solution.win_probs, solution.g_per_pattern)]
     for name, printed, f in values + [("expected_tau", solution.expected_tau, solution.q_tau)]:
-        if printed != f(1):
-            return cut, Disagreement(name, None, printed, f(1))
+        value = f(1)
+        if printed != value:
+            return cut, Disagreement(name, None, printed, value)
     return cut, None
 
 

@@ -195,16 +195,15 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
 
     d must make every C_i an integer: for a race generating function,
     c_i is a sum of products of i letter probabilities, so the lcm of
-    their denominators will do.  num and den are cleared to integers N, E
-    by the lcm of their coefficient denominators, and the recurrence
-    E_0 C_i = d**i N_i - sum_j E_j d**j C_(i-j) runs on ints with one
-    exact division per coefficient.
+    their denominators will do.  With N, E the integer parts of rf, the
+    recurrence E_0 C_i = d**i N_i - sum_j E_j d**j C_(i-j) runs on ints
+    with one exact division per coefficient.
     """
-    if not rf.den or rf.den[0] == 0:
+    num, den = rf.inum, rf.iden
+    e0 = den[0]
+    if e0 == 0:
         raise ZeroConstantDenominatorError(
             "denominator has zero constant term; no Taylor expansion at 0")
-    (num, den), _ = clear_denominators((rf.num, rf.den))
-    e0 = den[0]
     # E_j * d**j for j = 1, 2, ..., nearest term first.
     den = [c * d ** j for j, c in enumerate(den[1:], 1)]
     out: list = []

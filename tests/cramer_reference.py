@@ -18,7 +18,6 @@ from math import lcm
 from typing import List, Sequence
 
 from patternrace.algebra import (
-    RationalFunc,
     ipoly_exact_div,
     ipoly_mul,
     ipoly_sub,
@@ -27,6 +26,7 @@ from patternrace.correlation import correlation, evaluate
 from patternrace.model import RaceProblem
 from patternrace.solver import DegenerateCollectionError, RaceSolution
 
+from rf_field import RF
 from single_reference import ONE_MINUS_ALPHA, laurent_rf
 
 _ZERO = Fraction(0)
@@ -66,7 +66,7 @@ def initial_correlation_vector(problem: RaceProblem) -> tuple:
     )
 
 
-def det_rf(matrix: Sequence[Sequence[RationalFunc]]) -> RationalFunc:
+def det_rf(matrix: Sequence[Sequence[RF]]) -> RF:
     """Determinant over the rational-function field.
 
     Fraction-field Gaussian elimination; the pivot in each column is the
@@ -89,7 +89,7 @@ def det_rf(matrix: Sequence[Sequence[RationalFunc]]) -> RationalFunc:
                 if best is None or w < best:
                     best, best_row = w, r
         if best_row is None:
-            return RationalFunc.zero()
+            return RF.zero()
         if best_row != col:
             a[col], a[best_row] = a[best_row], a[col]
             sign = -sign
@@ -100,7 +100,7 @@ def det_rf(matrix: Sequence[Sequence[RationalFunc]]) -> RationalFunc:
                 f = a[r][col] / piv
                 for c in range(col + 1, n):
                     a[r][c] = a[r][c] - f * a[col][c]
-    det = RationalFunc.const(sign)
+    det = RF.const(sign)
     for p in pivots:
         det = det * p
     return det
@@ -128,10 +128,9 @@ def fraction_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def det_laurent(rows: Sequence[Sequence[dict]]) -> RationalFunc:
+def det_laurent(rows: Sequence[Sequence[dict]]) -> RF:
     """Determinant of a matrix of term maps {exponent: coefficient}, with
-    negative exponents allowed and no zero coefficients, as a
-    RationalFunc.
+    negative exponents allowed and no zero coefficients, as an RF.
 
     Each row is cleared to integer polynomial coefficients (multiply by
     alpha**depth and the lcm of coefficient denominators), the integer
@@ -164,8 +163,8 @@ def det_laurent(rows: Sequence[Sequence[dict]]) -> RationalFunc:
         shift += d
     det = _bareiss(imat)
     if not det:
-        return RationalFunc.zero()
-    return RationalFunc(det, [0] * shift + [scale])
+        return RF.zero()
+    return RF(det, [0] * shift + [scale])
 
 
 def _bareiss(mat: List[List[List[int]]]) -> List[int]:
@@ -210,10 +209,10 @@ def build_system(problem: RaceProblem):
     corr = correlation_matrix(problem)
     v = initial_correlation_vector(problem)
     m = problem.num_patterns
-    one = RationalFunc.one()
-    matrix = [[RationalFunc((1, -1))] + [one] * m]
+    one = RF.one()
+    matrix = [[RF((1, -1))] + [one] * m]
     for i in range(m):
-        matrix.append([RationalFunc.const(-1)] +
+        matrix.append([RF.const(-1)] +
                       [laurent_rf(corr.entry(i, j)) for j in range(m)])
     rhs = [one] + [laurent_rf(v[i]) for i in range(m)]
     return matrix, rhs
@@ -260,7 +259,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
 
     q_tau = q_numerator / denom
     g_per = tuple(g / denom for g in g_numerators)
-    g_total = RationalFunc.zero()
+    g_total = RF.zero()
     for g in g_per:
         g_total = g_total + g
 

@@ -1,0 +1,84 @@
+"""Field operations on rational functions, for the tests.
+
+The program only builds, compares, evaluates and prints RationalFuncs;
+the reference solvers and the identity tests also add, multiply and
+divide them.  RF is a RationalFunc with those operators: each result is
+built from the integer parts of the operands and canonicalised by the
+program's own constructor, so an RF equals the RationalFunc of the same
+function.  An int or Fraction operand is read as a constant.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from patternrace.algebra import RationalFunc, ipoly_mul, ipoly_sub
+
+
+def _as_rf(x):
+    if isinstance(x, RF):
+        return x
+    if isinstance(x, RationalFunc):
+        return RF(x.inum, x.iden)
+    if isinstance(x, (int, Fraction)):
+        return RF.const(x)
+    return NotImplemented
+
+
+class RF(RationalFunc):
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, c) -> "RF":
+        return cls((c,))
+
+    @classmethod
+    def zero(cls) -> "RF":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "RF":
+        return cls((1,))
+
+    def is_zero(self) -> bool:
+        return not self.inum
+
+    def __neg__(self):
+        return RF([-c for c in self.inum], self.iden)
+
+    def __add__(self, other):
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self - (-other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, c, d = self.inum, self.iden, other.inum, other.iden
+        return RF(ipoly_sub(ipoly_mul(a, d), ipoly_mul(c, b)), ipoly_mul(b, d))
+
+    def __rsub__(self, other):
+        return _as_rf(other) - self
+
+    def __mul__(self, other):
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RF(ipoly_mul(self.inum, other.inum), ipoly_mul(self.iden, other.iden))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.inum:
+            raise ZeroDivisionError("division by zero rational function")
+        return RF(ipoly_mul(self.inum, other.iden), ipoly_mul(self.iden, other.inum))
+
+    def __rtruediv__(self, other):
+        return _as_rf(other) / self

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from patternrace.algebra import RationalFunc
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import (
     Alphabet,
@@ -22,10 +21,12 @@ from patternrace.model import (
     Violation,
 )
 
-ONE_MINUS_ALPHA = RationalFunc((1, -1))
+from rf_field import RF
+
+ONE_MINUS_ALPHA = RF((1, -1))
 
 
-def laurent_rf(terms: dict) -> RationalFunc:
+def laurent_rf(terms: dict) -> RF:
     """A term map {exponent: coefficient}, such as a correlation, as a
     rational function: multiply through by alpha**d to clear negative
     exponents."""
@@ -33,7 +34,7 @@ def laurent_rf(terms: dict) -> RationalFunc:
     num = [0] * (max(terms) + d + 1 if terms else 0)
     for e, c in terms.items():
         num[e + d] = c
-    return RationalFunc(num, [0] * d + [1])
+    return RF(num, [0] * d + [1])
 
 
 def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
@@ -49,7 +50,7 @@ def _check_single(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> None:
                 "pattern occurs inside the initial word before its last letter"),)))
 
 
-def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
+def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RF:
     """E(alpha^tau) for the wait until b, given initial word a."""
     _check_single(a, b, alphabet)
     ab = laurent_rf(correlation(a, b, alphabet))
@@ -57,7 +58,7 @@ def single_pgf(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> Rational
     return (1 + ONE_MINUS_ALPHA * ab) / (1 + ONE_MINUS_ALPHA * bb)
 
 
-def single_Q(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RationalFunc:
+def single_Q(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> RF:
     """Generating function of the tail probabilities Pr(tau > n)."""
     _check_single(a, b, alphabet)
     ab = laurent_rf(correlation(a, b, alphabet))

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from patternrace.algebra import RationalFunc
 from patternrace.cli import main
 from patternrace.correlation import correlation
 from patternrace.model import RaceProblem, make_alphabet
@@ -32,6 +31,7 @@ from cramer_reference import (
     fraction_det,
     replace_column,
 )
+from rf_field import RF
 from single_reference import ONE_MINUS_ALPHA, single_expected
 from test_solver import _b_variants, solve_linear_rf
 
@@ -136,7 +136,7 @@ def test_criterion_5_randomized_equivalence():
 def test_criterion_6_determinant_identities():
     rng = random.Random(4096)
     one_minus = ONE_MINUS_ALPHA
-    one = RationalFunc.one()
+    one = RF.one()
     n = 100
     for i in range(n):
         prob = random_problem(rng)
@@ -169,11 +169,11 @@ def test_criterion_6_determinant_identities():
 def test_criterion_7_structural_invariants():
     rng = random.Random(777)
     one_minus = ONE_MINUS_ALPHA
-    one = RationalFunc.one()
+    one = RF.one()
     for _ in range(40):
         prob = random_problem(rng)
         sol = solve_race(prob)
-        acc = RationalFunc.zero()
+        acc = RF.zero()
         for g in sol.g_per_pattern:
             acc = acc + g
         assert acc == sol.g_total

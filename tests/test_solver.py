@@ -35,9 +35,10 @@ from cramer_reference import (
     initial_correlation_vector,
     replace_column,
 )
+from rf_field import RF
 from single_reference import ONE_MINUS_ALPHA, laurent_rf, single_Q, single_expected, single_pgf
 
-ONE = RationalFunc.one()
+ONE = RF.one()
 
 
 def cofactor_det(matrix):
@@ -87,7 +88,7 @@ def test_single_pgf_initial_ends_with_pattern(fair_coin):
     a = fair_coin.pattern("TTHH")
     b = fair_coin.pattern("THH")
     assert single_pgf(a, b, fair_coin) == ONE
-    assert single_Q(a, b, fair_coin) == RationalFunc.zero()
+    assert single_Q(a, b, fair_coin) == RF.zero()
     assert single_expected(a, b, fair_coin) == 0
 
 
@@ -133,15 +134,15 @@ def test_single_pgf_example_pair(fair_coin):
 
 def test_det_rf_identity():
     for n in (1, 2, 3, 4):
-        m = [[ONE if i == j else RationalFunc.zero() for j in range(n)]
+        m = [[ONE if i == j else RF.zero() for j in range(n)]
              for i in range(n)]
         assert det_rf(m) == ONE
 
 
 def test_det_rf_repeated_column():
-    col = [RationalFunc((1, 2)), RationalFunc((3,))]
+    col = [RF((1, 2)), RF((3,))]
     m = [[col[0], col[0]], [col[1], col[1]]]
-    assert det_rf(m) == RationalFunc.zero()
+    assert det_rf(m) == RF.zero()
 
 
 def test_fraction_det_matrix_at_one(three_way):
@@ -189,7 +190,7 @@ def test_build_system_shape_and_first_row(three_way):
     assert len(matrix) == 4 and all(len(r) == 4 for r in matrix)
     assert matrix[0][0] == RationalFunc((1, -1))
     assert matrix[0][1:] == [ONE] * 3
-    assert all(matrix[i][0] == RationalFunc.const(-1) for i in range(1, 4))
+    assert all(matrix[i][0] == RF.const(-1) for i in range(1, 4))
     assert rhs[0] == ONE
 
 
@@ -341,7 +342,7 @@ def test_solution_invariants_random():
     for _ in range(20):
         prob = random_problem(rng)
         sol = solve_race(prob)
-        acc = RationalFunc.zero()
+        acc = RF.zero()
         for g in sol.g_per_pattern:
             acc = acc + g
         assert acc == sol.g_total
@@ -363,7 +364,7 @@ def test_fraction_free_solve_matches_cofactor_random():
             a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
                   if rng.random() < 0.6 else [] for _ in range(n + r)]
                  for _ in range(n)]
-            rf = [[RationalFunc(tuple(e)) for e in row] for row in a]
+            rf = [[RF(tuple(e)) for e in row] for row in a]
             matrix = [row[:n] for row in rf]
             leading_zero = not a[0][0]
             det, ys = fraction_free_solve(a)

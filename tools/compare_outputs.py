@@ -7,7 +7,9 @@ and bench/.  The jobs are the benchmark's own: bench/workloads.make_pass
 of this checkout writes the problem files of every workload, seeds 1-3
 and passes 0-9 into one temporary directory and returns the jobs, so both
 checkouts read the same bytes; each race job also runs once without
---series N, 600 jobs in all.  Two more jobs, `race --series 1500` with
+--series N, and each race_initial job once more as `race FILE --alpha
+9/10`, which evaluates every generating function there, 720 jobs in
+all.  Two more jobs, `race --series 1500` with
 and without --oracle on letters 1/1000 and 999/1000, print integers of
 4,501 digits, past Python's default int-to-str limit, so the Decimal
 path of the printer is diffed too.  Each checkout runs all jobs in one
@@ -35,6 +37,7 @@ PASSES = 10
 # Denominators up to 1000**1500: 4,501 digits, past the 4,300-digit limit.
 PAST_LIMIT = {"weights": {"a": 1, "b": 999}, "patterns": ["ab", "bba"], "initial": None}
 PAST_LIMIT_HORIZON = 1500
+ALPHA = "9/10"
 
 
 def bench_module(checkout: str, name: str):
@@ -49,8 +52,8 @@ def bench_module(checkout: str, name: str):
 def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
-    oracle also runs to its own horizon alone; then the two past-limit
-    jobs."""
+    oracle also runs to its own horizon alone; for each race_initial job
+    `race FILE --alpha 9/10`; then the two past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -63,6 +66,10 @@ def make_jobs(directory: str) -> list:
                     if job.kind == "race":
                         at = job.argv.index("--series")
                         argv = job.argv[:at] + job.argv[at + 2:]
+                        jobs.append((name, seed, index,
+                                     dataclasses.replace(job, argv=argv, horizon=0)))
+                    if name == "race_initial":
+                        argv = job.argv[:2] + ["--alpha", ALPHA]
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=argv, horizon=0)))
     path = os.path.join(directory, "past-limit.json")

@@ -2,8 +2,8 @@
 
 Dense integer polynomials (int lists) and canonical rational functions,
 the one field the package computes in.  A rational function is kept as
-a pair of integer polynomials in lowest terms; its Fraction coefficients
-are built only when printed.  Everything here is exact; no floats.
+a pair of integer polynomials in lowest terms, and printed from those
+integers.  Everything here is exact; no floats.
 """
 
 from __future__ import annotations
@@ -172,8 +172,6 @@ class RationalFunc:
     gcd(inum, iden) = 1 as polynomials, no integer above 1 dividing
     every coefficient of both, and iden[-1] > 0.  That pair is unique, so
     structural equality coincides with equality in the fraction field.
-    num and den are the Fraction coefficients with iden made monic,
-    built on demand for printing.
     """
 
     __slots__ = ("inum", "iden")
@@ -204,16 +202,6 @@ class RationalFunc:
             den = [x // c for x in den]
         self.inum = tuple(num)
         self.iden = tuple(den)
-
-    @property
-    def num(self) -> tuple:
-        lc = self.iden[-1]
-        return tuple(Fraction(c, lc) for c in self.inum)
-
-    @property
-    def den(self) -> tuple:
-        lc = self.iden[-1]
-        return tuple(Fraction(c, lc) for c in self.iden)
 
     def __call__(self, x: Scalar) -> Fraction:
         """The value at alpha = x = p/q: with k the larger degree,

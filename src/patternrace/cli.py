@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
@@ -223,7 +224,11 @@ def cmd_martingale(args) -> int:
     return EXIT_MARTINGALE if report.violations else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call, not
+    at import.  parse_args leaves it unchanged, so every call may share
+    it."""
     parser = argparse.ArgumentParser(
         prog="patternrace",
         description="Exact solver for pattern-occurrence races in i.i.d. letter streams.",
@@ -274,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

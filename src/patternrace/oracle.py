@@ -24,7 +24,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Dict, NamedTuple, Optional
 
-from .correlation import correlation, evaluate
+from .correlation import correlations, evaluate
 from .model import Alphabet, Pattern, RaceProblem, pattern_prob
 from .solver import RaceSolution, SeriesTable
 
@@ -373,16 +373,13 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     k = 1 / (1 - alpha)
     bound = k / pattern_prob(b, alphabet)
     l = len(a) if a is not None else 0
-    ab = evaluate(correlation(a, b, alphabet), alpha)
-    bb = evaluate(correlation(b, b, alphabet), alpha)
-    y0 = k - alpha ** l * (k + ab)
-
     # Weight per code: the correlation of each state word against b prices
     # every gambler still in the game.  The absorbing code is -1, so
     # appending (B*B) last lets lists indexed by code serve it as well.
-    weights = [evaluate(correlation(Pattern(s), b, alphabet), alpha) if s else Fraction(0)
-               for s in auto.states]
-    weights.append(bb)
+    ab, *weights = [evaluate(terms, alpha) for terms in correlations(
+        [a] + [Pattern(s) if s else None for s in auto.states] + [b], b, alphabet)]
+    bb = weights[-1]
+    y0 = k - alpha ** l * (k + ab)
     # Step thresholds: step s of a path at code c violates the bound
     # iff s <= lo[c] or s > hi[c].
     lo = [_last_exponent(alpha, (k + bound) / (k + w), strict=True) - l

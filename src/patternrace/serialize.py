@@ -138,10 +138,18 @@ def load_problem(path: str) -> Tuple[RaceProblem, str]:
 # result serialization
 
 def rf_to_obj(rf: RationalFunc) -> dict:
-    return {
-        "num": [rational_str(c) for c in rf.num],
-        "den": [rational_str(c) for c in rf.den],
-    }
+    """Both coefficient lists of rf with its denominator made monic,
+    each c / lc printed as rational_str prints Fraction(c, lc), from the
+    integer pair: lc = iden[-1] > 0, so one gcd puts c / lc in lowest
+    terms."""
+    lc = rf.iden[-1]
+
+    def show(c: int) -> str:
+        g = gcd(c, lc)
+        num = int_str(c // g)
+        return num if g == lc else f"{num}/{int_str(lc // g)}"
+
+    return {"num": [show(c) for c in rf.inum], "den": [show(c) for c in rf.iden]}
 
 
 # The gcd of a table entry with d**n is first taken against the largest

@@ -26,7 +26,7 @@ from .algebra import (
     ipoly_mul,
     ipoly_sub,
 )
-from .correlation import correlation
+from .correlation import correlations
 from .model import RaceProblem
 
 
@@ -154,9 +154,9 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
     scale = 1
     minus_one = {0: -1}
+    words = (*pats, problem.initial)
     for bi in pats:
-        row = ([minus_one] + [correlation(bj, bi, alphabet) for bj in pats]
-               + [correlation(problem.initial, bi, alphabet)])
+        row = [minus_one] + correlations(words, bi, alphabet)
         irow, l = _clear_row(row)
         a.append(irow)
         scale *= l

@@ -81,11 +81,12 @@ def corrupt_solution(sol, which: str):
     corrupted solution and that coefficient's index, the first at which
     the corrupted function's series differs."""
     def bump(rf):
-        return RationalFunc(rf.num[:-1] + (rf.num[-1] + 1,), rf.den)
+        # c / lc is the top coefficient of the monic form; c + lc raises it by 1
+        return RationalFunc(rf.inum[:-1] + (rf.inum[-1] + rf.iden[-1],), rf.iden)
 
     if which == "g_1":
         g = sol.g_per_pattern
         return (dataclasses.replace(sol, g_per_pattern=(bump(g[0]),) + g[1:]),
-                len(g[0].num) - 1)
+                len(g[0].inum) - 1)
     rf = getattr(sol, which)
-    return dataclasses.replace(sol, **{which: bump(rf)}), len(rf.num) - 1
+    return dataclasses.replace(sol, **{which: bump(rf)}), len(rf.inum) - 1

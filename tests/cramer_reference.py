@@ -85,7 +85,7 @@ def det_rf(matrix: Sequence[Sequence[RF]]) -> RF:
         for r in range(col, n):
             e = a[r][col]
             if not e.is_zero():
-                w = len(e.num) + len(e.den)
+                w = len(e.inum) + len(e.iden)
                 if best is None or w < best:
                     best, best_row = w, r
         if best_row is None:

@@ -6,6 +6,10 @@ divide them.  RF is a RationalFunc with those operators: each result is
 built from the integer parts of the operands and canonicalised by the
 program's own constructor, so an RF equals the RationalFunc of the same
 function.  An int or Fraction operand is read as a constant.
+
+monic_num and monic_den give the Fraction coefficients of a
+RationalFunc with its denominator made monic, the values the program
+prints: the reference oracles and the identity tests read them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from patternrace.algebra import RationalFunc, ipoly_mul, ipoly_sub
+
+
+def monic_num(f: RationalFunc) -> tuple:
+    lc = f.iden[-1]
+    return tuple(Fraction(c, lc) for c in f.inum)
+
+
+def monic_den(f: RationalFunc) -> tuple:
+    lc = f.iden[-1]
+    return tuple(Fraction(c, lc) for c in f.iden)
 
 
 def _as_rf(x):

@@ -15,15 +15,17 @@ from fractions import Fraction
 from patternrace.algebra import RationalFunc
 from patternrace.solver import RaceSolution, SeriesTable, ZeroConstantDenominatorError
 
+from rf_field import monic_den, monic_num
+
 _ZERO = Fraction(0)
 
 
 def power_series(rf: RationalFunc, n: int) -> list:
     """First n+1 Taylor coefficients of rf around alpha = 0."""
-    if not rf.den or rf.den[0] == 0:
+    num, den = monic_num(rf), monic_den(rf)
+    if den[0] == 0:
         raise ZeroConstantDenominatorError(
             "denominator has zero constant term; no Taylor expansion at 0")
-    num, den = rf.num, rf.den
     d0 = den[0]
     out: list = []
     for i in range(n + 1):

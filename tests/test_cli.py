@@ -446,6 +446,37 @@ def test_scaled_printer_equals_rational_str(d, monkeypatch):
     assert fallbacks > 0 if s < horizon else fallbacks == 0
 
 
+INT_LIMIT = sys.get_int_max_str_digits()
+# Integers of INT_LIMIT + 11 digits, past the int-to-str limit
+past_limit = st.integers(1, 9).map(lambda v: v * 10 ** (INT_LIMIT + 10) + 7)
+printer_coeffs = st.integers(-10 ** 6, 10 ** 6) | past_limit | past_limit.map(lambda v: -v)
+
+
+def monic_strs(rf):
+    lc = rf.iden[-1]
+    return {"num": [rational_str(Fraction(c, lc)) for c in rf.inum],
+            "den": [rational_str(Fraction(c, lc)) for c in rf.iden]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(printer_coeffs, max_size=4),
+       st.lists(printer_coeffs, min_size=1, max_size=4).filter(any))
+@example([-3, 5, 0], [2, 6])
+def test_rf_to_obj_equals_rational_str(num, den):
+    rf = RationalFunc(num, den)
+    assert rf_to_obj(rf) == monic_strs(rf)
+
+
+def test_rf_to_obj_past_int_str_digit_limit():
+    big = 10 ** (INT_LIMIT + 1)
+    rf = RationalFunc((big + 3, -1, 5), (7, big + 9))
+    with pytest.raises(ValueError):
+        str(rf.iden[-1])
+    obj = rf_to_obj(rf)
+    assert obj == monic_strs(rf)
+    assert obj["den"][-1] == "1" and obj["num"][1].startswith("-1/")
+
+
 def test_scaled_printer_past_int_str_digit_limit():
     show = scaled_printer(1000, 1600)
     c = 7 * 10 ** 4600 + 3
@@ -634,6 +665,21 @@ def test_exit_code_contract(tmp_path_factory, problem, argv):
     assert "Traceback" not in err.getvalue()
 
 
+def test_main_is_reentrant(problem_file, capsys):
+    with pytest.raises(SystemExit) as bad_flag:
+        main(["race", problem_file, "--no-such-flag"])
+    assert bad_flag.value.code == 2
+    assert main(["race", problem_file, "--series", "-1"]) == 2
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert main(["race", problem_file, "--oracle"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["oracle"]["agree"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_race_digest_hashes_the_bytes_read_from_stdin():
     data = json.dumps(THREE_WAY).encode()
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -645,11 +691,15 @@ def test_race_digest_hashes_the_bytes_read_from_stdin():
 
 
 def test_cli_imports_only_the_standard_library():
+    # Importing also builds no parser: main builds it on its first call.
     code = ("import json, sys; before = set(sys.modules); import patternrace.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
+            "print(json.dumps([sorted(set(sys.modules) - before), "
+            "patternrace.cli.build_parser.cache_info().currsize]))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    top = {name.split(".")[0] for name in json.loads(run.stdout)}
+    modules, parsers = json.loads(run.stdout)
+    top = {name.split(".")[0] for name in modules}
     assert "patternrace" in top
     assert top - {"patternrace"} <= sys.stdlib_module_names
+    assert parsers == 0

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
-from patternrace.correlation import correlation, evaluate
-from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from patternrace.correlation import correlation, correlations, evaluate
+from patternrace.model import Alphabet, Pattern, RaceProblem, make_alphabet, pattern_prob
 
 from conftest import random_problem
 from cramer_reference import correlation_matrix, initial_correlation_vector
@@ -111,3 +114,53 @@ def test_matrix_nonnegative_at_one():
                 assert v >= 0
                 if i == j:
                     assert v > 0
+
+
+def reference_terms(a, b, alphabet):
+    """The term map by slice comparison and a Fraction product per overlap."""
+    if a is None:
+        return {}
+    terms = {}
+    for k in range(1, min(len(a), len(b)) + 1):
+        if a.letters[-k:] == b.letters[:k]:
+            terms[-k] = 1 / pattern_prob(Pattern(b.letters[:k]), alphabet)
+    return terms
+
+
+@st.composite
+def correlation_cases(draw):
+    """(words, b, alphabet) on 1 or 4 letters; b is a random word or a
+    repeated short period (aaaa, abab, ...), so has many borders; each
+    word is None, random (often shorter than b), or a random head
+    followed by all of b, by a prefix of b or by a suffix of b."""
+    size = draw(st.sampled_from([1, 4]))
+    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    alphabet = Alphabet(tuple("abcd"[:size]),
+                        tuple(Fraction(w, sum(weights)) for w in weights))
+    letter = st.integers(0, size - 1)
+    periodic = st.tuples(st.lists(letter, min_size=1, max_size=3), st.integers(1, 12)).map(
+        lambda pr: (pr[0] * pr[1])[:pr[1]])
+    b = Pattern(tuple(draw(st.lists(letter, min_size=1, max_size=10) | periodic)))
+    head = st.lists(letter, max_size=5).map(tuple)
+    cut = st.integers(1, len(b))
+    word = st.one_of(
+        st.none(),
+        st.lists(letter, min_size=1, max_size=12).map(lambda w: Pattern(tuple(w))),
+        head.map(lambda h: Pattern(h + b.letters)),
+        st.tuples(head, cut).map(lambda hk: Pattern(hk[0] + b.letters[:hk[1]])),
+        st.tuples(head, cut).map(lambda hk: Pattern(hk[0] + b.letters[-hk[1]:])),
+    )
+    return draw(st.lists(word, max_size=6)), b, alphabet
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlation_cases())
+@example(([Pattern((0,) * 6), Pattern((0, 0)), None],
+          Pattern((0,) * 4), make_alphabet([("a", "1")])))
+@example(([Pattern((1, 0, 1, 0, 1)), Pattern((0, 1, 0)), Pattern((2, 0, 1, 0, 1))],
+          Pattern((0, 1, 0, 1)), make_alphabet([(c, "1/4") for c in "abcd"])))
+def test_correlations_equal_slice_reference(case):
+    words, b, alphabet = case
+    assert correlations(words, b, alphabet) == [reference_terms(a, b, alphabet) for a in words]
+    for a in words:
+        assert correlation(a, b, alphabet) == reference_terms(a, b, alphabet)

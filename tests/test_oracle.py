@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import inspect
 import random
 import struct
 from fractions import Fraction
@@ -22,6 +24,7 @@ import absorbing_reference
 import martingale_reference
 from series_reference import per_pattern, tail_mass, totals
 from patternrace import oracle as oracle_mod
+from patternrace import solver as solver_mod
 
 from conftest import corrupt_solution, random_problem
 
@@ -153,6 +156,25 @@ def test_certify_absorbed_start(fair_coin, three_way, initial):
                        initial=fair_coin.pattern(initial))
     assert build_automaton(prob).start < 0
     _assert_certified(prob)
+
+
+def test_certify_calls_no_solver_or_correlation_code(three_way, monkeypatch):
+    prob = RaceProblem(alphabet=three_way.alphabet, patterns=three_way.patterns,
+                       initial=three_way.alphabet.pattern("TH"))
+    sol = solve_race(prob)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify reached solver or correlation code")
+
+    # The package re-exports the function correlation under the module's
+    # name, so the module is looked up by its full name.
+    for module in (importlib.import_module("patternrace.correlation"), solver_mod):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+                if getattr(oracle_mod, name, None) is fn:
+                    monkeypatch.setattr(oracle_mod, name, forbidden)
+    assert certify(build_automaton(prob), sol, 12)[1] is None
 
 
 @pytest.mark.parametrize("which, name", [

@@ -8,11 +8,14 @@ of this checkout writes the problem files of every workload, seeds 1-3
 and passes 0-9 into one temporary directory and returns the jobs, so both
 checkouts read the same bytes; each race job also runs once without
 --series N, and each race_initial job once more as `race FILE --alpha
-9/10`, which evaluates every generating function there, 720 jobs in
-all.  Two more jobs, `race --series 1500` with
-and without --oracle on letters 1/1000 and 999/1000, print integers of
-4,501 digits, past Python's default int-to-str limit, so the Decimal
-path of the printer is diffed too.  Each checkout runs all jobs in one
+9/10`, which evaluates every generating function there, 720 jobs.
+Each race_initial job also runs `correlate FILE --a INITIAL --b B
+--alpha 9/10` for every pattern B, and once with the first pattern as
+both A and B, so the correlation kernel is diffed directly: 810
+correlate jobs.  Two more jobs, `race --series 1500` with and without
+--oracle on letters 1/1000 and 999/1000, print integers of 4,501
+digits, past Python's default int-to-str limit, so the Decimal path of
+the printer is diffed too: 1,532 jobs in all.  Each checkout runs all jobs in one
 worker process with its own bench/run.py: load_program imports
 patternrace.cli from that checkout's src, and run_job calls it
 in-process with stdout captured, as the benchmark does.  The two outputs are then compared job
@@ -53,7 +56,8 @@ def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
     oracle also runs to its own horizon alone; for each race_initial job
-    `race FILE --alpha 9/10`; then the two past-limit jobs."""
+    `race FILE --alpha 9/10` and its correlate jobs; then the two
+    past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -72,6 +76,12 @@ def make_jobs(directory: str) -> list:
                         argv = job.argv[:2] + ["--alpha", ALPHA]
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=argv, horizon=0)))
+                        path, pats = job.argv[1], job.problem["patterns"]
+                        pairs = [(job.problem["initial"], b) for b in pats]
+                        for a, b in pairs + [(pats[0], pats[0])]:
+                            argv = ["correlate", path, "--a", a, "--b", b, "--alpha", ALPHA]
+                            jobs.append((name, seed, index, dataclasses.replace(
+                                job, kind="correlate", argv=argv, horizon=0)))
     path = os.path.join(directory, "past-limit.json")
     workloads.write_problem(PAST_LIMIT, path)
     for oracle in ([], ["--oracle"]):

@@ -205,9 +205,8 @@ def cmd_martingale(args) -> int:
     problem, _ = load_problem(args.input)
     if not 0 <= args.pattern_index < problem.num_patterns:
         raise UsageError(f"--pattern-index out of range 0..{problem.num_patterns - 1}")
-    b = problem.patterns[args.pattern_index]
     report = oracle_mod.martingale_check(
-        b, problem.initial, problem.alphabet, alpha,
+        problem, args.pattern_index, alpha,
         reps=args.reps, seed=args.seed, max_steps=args.max_steps)
     _emit({
         "alpha": rational_str(report.alpha),

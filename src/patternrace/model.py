@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import decimal
 import re
 from dataclasses import dataclass
@@ -195,6 +196,14 @@ class RaceProblem:
     @property
     def num_patterns(self) -> int:
         return len(self.patterns)
+
+    def alone(self, k: int) -> "RaceProblem":
+        """Pattern k racing alone from the same initial word.  Each of its
+        invariants is one this race has already checked, so it is built
+        without running validate_race again."""
+        race = copy.copy(self)
+        object.__setattr__(race, "patterns", (self.patterns[k],))
+        return race
 
 
 @dataclass(frozen=True)

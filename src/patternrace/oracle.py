@@ -8,8 +8,14 @@ exact engine is a dynamic program on integer masses scaled by powers of
 the letter-probability denominator; certify runs it far enough to prove
 every closed-form generating function equal to the chain's, sharing no
 solver code.  A seeded Monte Carlo simulator and a direct simulation of
-the casino-net-gain martingale are statistical cross-checks; both
-sample paths with one walk.
+the casino-net-gain martingale are statistical cross-checks.  Both draw
+replicate i's letters from random.Random(f"{seed}:{i}") through one
+helper, which reseeds a single generator in place.  That seeding (the
+Mersenne Twister's 624-word initialisation) is the floor of a
+replicate's cost, which the sampling contract fixes; the walk is the
+rest.  monte_carlo walks each replicate in one tight loop that keeps
+only its stopping step and final code; martingale_check reads every
+code on the path, so it walks with _walk.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Dict, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional
 
 from .correlation import correlations, evaluate
-from .model import Alphabet, Pattern, RaceProblem, pattern_prob
+from .model import Pattern, RaceProblem, pattern_prob
 from .solver import RaceSolution, SeriesTable
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -225,10 +231,24 @@ class MonteCarloReport:
     histogram: dict           # tau -> count, completed runs only
 
 
-def _replicate_rng(seed: int, i: int) -> random.Random:
-    # String seeds hash through sha512: stable across runs and platforms,
-    # and each replicate gets its own stream regardless of run order.
-    return random.Random(f"{seed}:{i}")
+def _replicate_draws(seed: int, indices: Iterable[int]) -> Iterator[Callable[[], float]]:
+    """For each replicate i of indices, in order, the draw callable of a
+    generator in the state of random.Random(f"{seed}:{i}").
+
+    A str seed hashes through sha512, so each replicate has its own
+    stream, stable across runs and platforms and independent of run
+    order.  random.Random.seed turns it into the int below (Python
+    3.10-3.13), with the sha512 it imports as random._sha512, and seeds
+    the C generator with it; one generator reseeded that way in place
+    skips building a Random per replicate.  Each yielded callable is the
+    same bound method, valid until the next replicate is drawn.
+    """
+    rng = random.Random()
+    reseed, draw, sha512 = super(random.Random, rng).seed, rng.random, random._sha512
+    for i in indices:
+        b = f"{seed}:{i}".encode()
+        reseed(int.from_bytes(b + sha512(b).digest(), "big"))
+        yield draw
 
 
 def _cumulative(probs) -> list:
@@ -238,16 +258,16 @@ def _cumulative(probs) -> list:
     return cum
 
 
-def _walk(transitions: tuple, start: int, cum: list, rng: random.Random,
+def _walk(transitions: tuple, start: int, cum: list, draw: Callable[[], float],
           max_steps: int) -> list:
     """Codes visited from the live state start, one per sampled letter,
     up to and including the first absorbing code or max_steps letters.
 
     The letter is the first index whose cumulative probability exceeds
-    u = rng.random(); cum ends at 1.0 > u, so one always does.
+    u = draw(); cum ends at 1.0 > u, so one always does.
     """
     path = []
-    append, draw = path.append, rng.random
+    append = path.append
     code = start
     for _ in range(max_steps):
         code = transitions[code][bisect_right(cum, draw())]
@@ -259,29 +279,40 @@ def _walk(transitions: tuple, start: int, cum: list, rng: random.Random,
 
 def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
                 max_steps: int = DEFAULT_MAX_STEPS) -> MonteCarloReport:
+    """Seeded win counts and stopping-time histogram over reps replicates.
+
+    Each replicate samples letters as _walk does, but keeps only the step
+    at which it stopped and the code it stopped at.  A start already
+    absorbed wins every replicate at tau = 0 without a draw.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     cum = _cumulative(auto.problem.alphabet.probs)
+    transitions, start = auto.transitions, auto.start
 
     wins = [0] * auto.problem.num_patterns
     hist: Counter = Counter()
     truncated = 0
     tau_sum = 0
-    for i in range(reps):
-        if auto.start < 0:
-            wins[-auto.start - 1] += 1
-            hist[0] += 1
-            continue
-        path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
-        if path[-1] < 0:
-            tau = len(path)
-            wins[-path[-1] - 1] += 1
+    if start < 0:
+        wins[-start - 1] = reps
+        hist[0] = reps
+    else:
+        steps = range(1, max_steps + 1)
+        for draw in _replicate_draws(seed, range(reps)):
+            code = start
+            for tau in steps:
+                code = transitions[code][bisect_right(cum, draw())]
+                if code < 0:
+                    break
+            else:
+                truncated += 1
+                continue
+            wins[-code - 1] += 1
             hist[tau] += 1
             tau_sum += tau
-        else:
-            truncated += 1
     completed = reps - truncated
     mean_tau = Fraction(tau_sum, completed) if completed else None
     return MonteCarloReport(
@@ -338,10 +369,12 @@ def _last_exponent(alpha: Fraction, r: Fraction, strict: bool) -> int:
     return e
 
 
-def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
-                     alpha: Fraction, reps: int, seed: int = 0,
+def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
+                     reps: int, seed: int = 0,
                      max_steps: int = DEFAULT_MAX_STEPS) -> MartingaleReport:
-    """Simulate the casino's net gain to the stopping time.
+    """Simulate the casino's net gain to the stopping time of pattern
+    b = problem.patterns[pattern_index], played alone from the problem's
+    initial word a.
 
     Checks the optional-stopping identity (initial value equals the mean
     stopped value, up to Monte Carlo error) and the pathwise bound on the
@@ -357,9 +390,12 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
     whenever P(b) <= 1.  The walk then compares integers only, and the
     stopped value K - alpha**(l + tau) * (K + (B*B)) is built exactly
     once per stopping exponent.  Every reported value is the same as
-    evaluating x in Fractions at every step.  What a pass still spends
-    is mostly the per-replicate seeding, which the sampling contract
-    fixes.
+    evaluating x in Fractions at every step.  The walk keeps each
+    replicate's path, since every code on it is checked against the
+    thresholds; what a pass still spends is mostly the per-replicate
+    seeding, the floor the sampling contract fixes.  The automaton is
+    built on problem.alone(pattern_index), which validates nothing
+    again.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -368,7 +404,8 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
         raise ValueError("reps must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    auto = build_automaton(RaceProblem(alphabet=alphabet, patterns=(b,), initial=a))
+    b, a, alphabet = problem.patterns[pattern_index], problem.initial, problem.alphabet
+    auto = build_automaton(problem.alone(pattern_index))
 
     k = 1 / (1 - alpha)
     bound = k / pattern_prob(b, alphabet)
@@ -418,9 +455,8 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
         for _ in range(reps):
             record(stopped_value(l))
     else:
-        for i in range(reps):
-            path = _walk(auto.transitions, auto.start, cum,
-                         _replicate_rng(seed, i), max_steps)
+        for i, draw in enumerate(_replicate_draws(seed, range(reps))):
+            path = _walk(auto.transitions, auto.start, cum, draw, max_steps)
             for step, code in enumerate(path, 1):
                 if step <= lo[code] or step > hi[code]:
                     violations.append((i, step))

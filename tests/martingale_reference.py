@@ -1,24 +1,24 @@
 """Reference oracle: the casino net gain computed exactly at every step.
 
 Each sampled letter evaluates x = (1 - alpha^e) / (1 - alpha) - alpha^e * w
-in Fractions and compares |x| with the bound.  It shares the walk and the
-seeding with `patternrace.oracle.martingale_check` but none of its
+in Fractions and compares |x| with the bound.  It shares the walk with
+`patternrace.oracle.martingale_check` but neither its seeding, since it
+builds random.Random(f"{seed}:{i}") for each replicate itself, nor its
 threshold arithmetic, so the tests compare the two report for report.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
-from typing import Optional
 
 from patternrace.correlation import correlation, evaluate
-from patternrace.model import Alphabet, Pattern, RaceProblem, pattern_prob
+from patternrace.model import Pattern, RaceProblem, pattern_prob
 from patternrace.oracle import (
     DEFAULT_MAX_STEPS,
     MartingaleReport,
     _cumulative,
-    _replicate_rng,
     _walk,
     build_automaton,
 )
@@ -26,9 +26,10 @@ from patternrace.oracle import (
 _ZERO = Fraction(0)
 
 
-def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
-                     alpha: Fraction, reps: int, seed: int = 0,
+def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
+                     reps: int, seed: int = 0,
                      max_steps: int = DEFAULT_MAX_STEPS) -> MartingaleReport:
+    b, a, alphabet = problem.patterns[pattern_index], problem.initial, problem.alphabet
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -76,7 +77,8 @@ def martingale_check(b: Pattern, a: Optional[Pattern], alphabet: Alphabet,
                 violations.append((i, 0))
             record(y)
             continue
-        path = _walk(auto.transitions, auto.start, cum, _replicate_rng(seed, i), max_steps)
+        path = _walk(auto.transitions, auto.start, cum, random.Random(f"{seed}:{i}").random,
+                     max_steps)
         ap = alpha ** l
         for step, code in enumerate(path, 1):
             ap *= alpha

@@ -199,8 +199,9 @@ def test_criterion_8_statistical(race3, coin):
         sd = (float(p) * (1 - float(p)) / reps) ** 0.5
         assert abs(float(freq) - float(p)) <= 4 * sd
 
-    rep = martingale_check(coin.pattern("THTH"), coin.pattern("THH"), coin,
-                           Fraction(9, 10), reps=10 ** 4, seed=99)
+    race = RaceProblem(alphabet=coin, patterns=(coin.pattern("THTH"),),
+                       initial=coin.pattern("THH"))
+    rep = martingale_check(race, 0, Fraction(9, 10), reps=10 ** 4, seed=99)
     alpha = Fraction(9, 10)
     assert rep.y0 == (1 - alpha ** 3) / (1 - alpha)
     assert abs(rep.empirical_mean - float(rep.y0)) <= 4 * rep.std_error

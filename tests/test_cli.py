@@ -536,7 +536,7 @@ def _count_calls(monkeypatch, *functions):
     (["race"], 1, 0),
     (["race", "--series", "8", "--oracle"], 1, 1),
     (["simulate", "--reps", "20"], 1, 1),
-    (["martingale", "--alpha", "1/2", "--reps", "20"], 2, 1),
+    (["martingale", "--alpha", "1/2", "--reps", "20"], 1, 1),
 ])
 def test_validations_and_automata_per_job(problem_file, capsys, monkeypatch,
                                           argv, validations, automata):

@@ -22,11 +22,18 @@ from patternrace.solver import SeriesTable, series, solve_race
 
 import absorbing_reference
 import martingale_reference
+import monte_carlo_reference
 from series_reference import per_pattern, tail_mass, totals
 from patternrace import oracle as oracle_mod
 from patternrace import solver as solver_mod
 
 from conftest import corrupt_solution, random_problem
+
+
+def one_pattern(alphabet, b, a=None):
+    """The race of pattern b alone, from initial word a if given."""
+    return RaceProblem(alphabet=alphabet, patterns=(alphabet.pattern(b),),
+                       initial=None if a is None else alphabet.pattern(a))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +238,8 @@ def test_simulators_reject_max_steps_below_one(three_way, fair_coin, max_steps):
     with pytest.raises(ValueError):
         monte_carlo(build_automaton(three_way), 10, max_steps=max_steps)
     with pytest.raises(ValueError):
-        martingale_check(fair_coin.pattern("THH"), None, fair_coin, Fraction(1, 2),
-                         10, max_steps=max_steps)
+        martingale_check(one_pattern(fair_coin, "THH"), 0, Fraction(1, 2), 10,
+                         max_steps=max_steps)
 
 
 def test_monte_carlo_determinism(three_way):
@@ -275,30 +282,71 @@ def test_monte_carlo_matches_exact(three_way):
         assert abs(float(freq) - float(p)) <= 4 * sd
 
 
+@pytest.mark.parametrize("seed", [0, 42, -1, 10 ** 20])
+def test_replicate_draws_equal_string_seeded_random(seed):
+    # 700 draws run past the Mersenne Twister's first 624-word twist.
+    indices = [0, 1, 999, 10 ** 7]
+    for i, draw in zip(indices, oracle_mod._replicate_draws(seed, indices)):
+        expected = random.Random(f"{seed}:{i}")
+        assert [draw() for _ in range(700)] == [expected.random() for _ in range(700)]
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3, 4, 5, 6, None])
+def test_monte_carlo_equals_reference_random(max_steps):
+    kwargs = {} if max_steps is None else {"max_steps": max_steps}
+    rng = random.Random(f"monte-carlo:{max_steps}")
+    for case in range(6):
+        auto = build_automaton(random_problem(rng))
+        seed = rng.choice([case, -case - 1, 10 ** 20])
+        assert (monte_carlo(auto, 60, seed, **kwargs)
+                == monte_carlo_reference.monte_carlo(auto, 60, seed, **kwargs))
+
+
+def test_monte_carlo_equals_reference_absorbed_start(fair_coin):
+    rng = random.Random(31)
+    autos = [build_automaton(one_pattern(fair_coin, "HH", "THH"))]
+    while len(autos) < 5:
+        auto = build_automaton(random_problem(rng, with_initial=True))
+        if auto.start < 0:
+            autos.append(auto)
+    for seed, auto in enumerate(autos):
+        for max_steps in (1, 6):
+            r = monte_carlo(auto, 30, seed, max_steps=max_steps)
+            assert r == monte_carlo_reference.monte_carlo(auto, 30, seed, max_steps=max_steps)
+            assert r.win_counts[-auto.start - 1] == 30 == r.completed
+            assert r.histogram == {0: 30} and r.mean_tau == 0
+
+
+def test_alone_equals_the_validated_one_pattern_race():
+    rng = random.Random(8)
+    for _ in range(10):
+        prob = random_problem(rng)
+        for k, b in enumerate(prob.patterns):
+            assert prob.alone(k) == RaceProblem(alphabet=prob.alphabet, patterns=(b,),
+                                                initial=prob.initial)
+
+
 # ---------------------------------------------------------------------------
 # martingale
 
 def test_martingale_alpha_range(fair_coin):
-    b = fair_coin.pattern("H")
+    race = one_pattern(fair_coin, "H")
     with pytest.raises(ValueError):
-        martingale_check(b, None, fair_coin, Fraction(1), 10)
+        martingale_check(race, 0, Fraction(1), 10)
     with pytest.raises(ValueError):
-        martingale_check(b, None, fair_coin, Fraction(0), 10)
+        martingale_check(race, 0, Fraction(0), 10)
 
 
 def test_martingale_trivial_head(fair_coin):
-    rep = martingale_check(fair_coin.pattern("H"), None, fair_coin,
-                           Fraction(1, 2), reps=2000, seed=3)
+    rep = martingale_check(one_pattern(fair_coin, "H"), 0, Fraction(1, 2), reps=2000, seed=3)
     assert rep.y0 == 0
     assert not rep.violations
     assert abs(rep.z_score) <= 4
 
 
 def test_martingale_example_pair(fair_coin):
-    a = fair_coin.pattern("THH")
-    b = fair_coin.pattern("THTH")
     alpha = Fraction(9, 10)
-    rep = martingale_check(b, a, fair_coin, alpha, reps=3000, seed=11)
+    rep = martingale_check(one_pattern(fair_coin, "THTH", "THH"), 0, alpha, reps=3000, seed=11)
     # (A*B) is identically zero for this pair
     assert rep.y0 == (1 - alpha ** 3) / (1 - alpha)
     assert not rep.violations
@@ -307,8 +355,8 @@ def test_martingale_example_pair(fair_coin):
 
 
 def test_martingale_golden_sample(fair_coin):
-    rep = martingale_check(fair_coin.pattern("THTH"), fair_coin.pattern("THH"), fair_coin,
-                           Fraction(9, 10), reps=300, seed=11)
+    rep = martingale_check(one_pattern(fair_coin, "THTH", "THH"), 0, Fraction(9, 10),
+                           reps=300, seed=11)
     assert rep.empirical_mean == 2.904729184592612
     assert rep.violations == ()
 
@@ -355,9 +403,7 @@ def test_martingale_random_instances():
     checked = 0
     while checked < 5:
         prob = random_problem(rng)
-        b = prob.patterns[0]
-        rep = martingale_check(b, prob.initial, prob.alphabet,
-                               Fraction(3, 5), reps=800, seed=checked)
+        rep = martingale_check(prob, 0, Fraction(3, 5), reps=800, seed=checked)
         assert not rep.violations
         # rare patterns make the stopped value too skewed for a CLT check
         # at this sample size; assert the mean only for benign instances
@@ -376,10 +422,10 @@ def _report_bits(rep):
             for v in dataclasses.astuple(rep)]
 
 
-def _both(b, a, alphabet, alpha, reps, seed, max_steps=None):
+def _both(problem, k, alpha, reps, seed, max_steps=None):
     kwargs = {} if max_steps is None else {"max_steps": max_steps}
-    fast = martingale_check(b, a, alphabet, alpha, reps, seed=seed, **kwargs)
-    ref = martingale_reference.martingale_check(b, a, alphabet, alpha, reps,
+    fast = martingale_check(problem, k, alpha, reps, seed=seed, **kwargs)
+    ref = martingale_reference.martingale_check(problem, k, alpha, reps,
                                                 seed=seed, **kwargs)
     assert _report_bits(fast) == _report_bits(ref)
     return ref
@@ -396,14 +442,13 @@ def test_martingale_equals_reference_random(with_initial):
     for case in range(6):
         prob = random_problem(rng, with_initial=with_initial, m=1)
         alpha = rng.choice([Fraction(1, 3), Fraction(3, 5), Fraction(9, 10)])
-        _both(prob.patterns[0], prob.initial, prob.alphabet, alpha,
-              reps=40, seed=case, max_steps=400)
+        _both(prob, 0, alpha, reps=40, seed=case, max_steps=400)
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 5])
 def test_martingale_equals_reference_truncated(fair_coin, max_steps):
-    ref = _both(fair_coin.pattern("THTH"), fair_coin.pattern("TT"), fair_coin,
-                Fraction(2, 3), reps=60, seed=9, max_steps=max_steps)
+    ref = _both(one_pattern(fair_coin, "THTH", "TT"), 0, Fraction(2, 3), reps=60, seed=9,
+                max_steps=max_steps)
     assert ref.truncated > 0
 
 
@@ -411,8 +456,7 @@ def test_martingale_equals_reference_truncated(fair_coin, max_steps):
 def test_martingale_equals_reference_absorbed_start(fair_coin, monkeypatch, prob):
     if prob is not None:
         _patch_pattern_prob(monkeypatch, prob)
-    ref = _both(fair_coin.pattern("HH"), fair_coin.pattern("THH"), fair_coin,
-                Fraction(1, 2), reps=7, seed=1)
+    ref = _both(one_pattern(fair_coin, "HH", "THH"), 0, Fraction(1, 2), reps=7, seed=1)
     assert len(ref.violations) == (0 if prob is None else 1 + 7)
 
 
@@ -420,8 +464,7 @@ def test_martingale_equals_reference_finite_upper_threshold(fair_coin, monkeypat
     # P(b) > 1 puts the bound below 1 / (1 - alpha), so late steps of a
     # long path exceed it from above while early ones stay inside.
     _patch_pattern_prob(monkeypatch, Fraction(3, 2))
-    ref = _both(fair_coin.pattern("HTHH"), None, fair_coin, Fraction(3, 5),
-                reps=40, seed=3)
+    ref = _both(one_pattern(fair_coin, "HTHH"), 0, Fraction(3, 5), reps=40, seed=3)
     steps = {step for _, step in ref.violations}
     assert steps and min(steps) > 1
 
@@ -431,8 +474,7 @@ def test_martingale_equals_reference_late_lower_threshold(fair_coin, monkeypatch
     # exceeds it from above; a heavy live weight still drives it below
     # -bound after more than one letter.
     _patch_pattern_prob(monkeypatch, Fraction(1))
-    ref = _both(fair_coin.pattern("HHHH"), None, fair_coin, Fraction(1, 2),
-                reps=80, seed=2)
+    ref = _both(one_pattern(fair_coin, "HHHH"), 0, Fraction(1, 2), reps=80, seed=2)
     assert any(step > 1 for _, step in ref.violations)
 
 
@@ -440,8 +482,7 @@ def test_martingale_equals_reference_on_the_bound(fair_coin, monkeypatch):
     # b = HH, alpha = 1/2, bound 1: after one letter the net gain is
     # exactly 1 (state empty) or exactly -1 (state H), neither > 1.
     _patch_pattern_prob(monkeypatch, Fraction(2))
-    ref = _both(fair_coin.pattern("HH"), None, fair_coin, Fraction(1, 2),
-                reps=30, seed=4)
+    ref = _both(one_pattern(fair_coin, "HH"), 0, Fraction(1, 2), reps=30, seed=4)
     assert ref.violations
     assert all(step > 1 for _, step in ref.violations)
 

@@ -143,14 +143,6 @@ class Pattern:
     def __len__(self):
         return len(self.letters)
 
-    def prefix(self, k: int) -> tuple:
-        """First k letters."""
-        return self.letters[:k]
-
-    def suffix(self, k: int) -> tuple:
-        """Last k letters."""
-        return self.letters[len(self.letters) - k:]
-
     def check_alphabet(self, alphabet: Alphabet) -> None:
         for i in self.letters:
             if i >= alphabet.size:

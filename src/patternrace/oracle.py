@@ -13,9 +13,9 @@ replicate i's letters from random.Random(f"{seed}:{i}") through one
 helper, which reseeds a single generator in place.  That seeding (the
 Mersenne Twister's 624-word initialisation) is the floor of a
 replicate's cost, which the sampling contract fixes; the walk is the
-rest.  monte_carlo walks each replicate in one tight loop that keeps
-only its stopping step and final code; martingale_check reads every
-code on the path, so it walks with _walk.
+rest.  Both walk each replicate in the same tight loop, which keeps
+no path: monte_carlo keeps only its stopping step and final code, and
+martingale_check checks each code against its thresholds as it steps.
 """
 
 from __future__ import annotations
@@ -258,32 +258,15 @@ def _cumulative(probs) -> list:
     return cum
 
 
-def _walk(transitions: tuple, start: int, cum: list, draw: Callable[[], float],
-          max_steps: int) -> list:
-    """Codes visited from the live state start, one per sampled letter,
-    up to and including the first absorbing code or max_steps letters.
-
-    The letter is the first index whose cumulative probability exceeds
-    u = draw(); cum ends at 1.0 > u, so one always does.
-    """
-    path = []
-    append = path.append
-    code = start
-    for _ in range(max_steps):
-        code = transitions[code][bisect_right(cum, draw())]
-        append(code)
-        if code < 0:
-            break
-    return path
-
-
 def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
                 max_steps: int = DEFAULT_MAX_STEPS) -> MonteCarloReport:
     """Seeded win counts and stopping-time histogram over reps replicates.
 
-    Each replicate samples letters as _walk does, but keeps only the step
-    at which it stopped and the code it stopped at.  A start already
-    absorbed wins every replicate at tau = 0 without a draw.
+    Each replicate samples the letter as the first index whose cumulative
+    probability exceeds u = draw() (cum ends at 1.0 > u, so one always
+    does) and keeps only the step at which it stopped and the code it
+    stopped at.  A start already absorbed wins every replicate at tau = 0
+    without a draw.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -390,12 +373,12 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     whenever P(b) <= 1.  The walk then compares integers only, and the
     stopped value K - alpha**(l + tau) * (K + (B*B)) is built exactly
     once per stopping exponent.  Every reported value is the same as
-    evaluating x in Fractions at every step.  The walk keeps each
-    replicate's path, since every code on it is checked against the
-    thresholds; what a pass still spends is mostly the per-replicate
-    seeding, the floor the sampling contract fixes.  The automaton is
-    built on problem.alone(pattern_index), which validates nothing
-    again.
+    evaluating x in Fractions at every step.  Each replicate walks as in
+    monte_carlo, checking every code it reaches against the thresholds as
+    it steps, so it keeps no path; what a pass still spends is mostly the
+    per-replicate seeding, the floor the sampling contract fixes.  The
+    automaton is built on problem.alone(pattern_index), which validates
+    nothing again.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -404,6 +387,8 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
         raise ValueError("reps must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if not 0 <= pattern_index < problem.num_patterns:
+        raise ValueError(f"pattern_index must lie in 0..{problem.num_patterns - 1}")
     b, a, alphabet = problem.patterns[pattern_index], problem.initial, problem.alphabet
     auto = build_automaton(problem.alone(pattern_index))
 
@@ -432,38 +417,41 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
         return stopped[e]
 
     cum = _cumulative(alphabet.probs)
+    transitions, start = auto.transitions, auto.start
 
     violations = []
     truncated = 0
     total = 0.0
     total_sq = 0.0
-    n_obs = 0
-
-    def record(fy: float):
-        nonlocal total, total_sq, n_obs
-        total += fy
-        total_sq += fy * fy
-        n_obs += 1
 
     if abs(y0) > bound:
         violations.append((-1, 0))
-    if auto.start < 0:
+    if start < 0:
         # b completed inside the initial word: every replicate stops at
         # step 0 with the same value.
         if 0 <= lo[-1] or 0 > hi[-1]:
             violations.extend((i, 0) for i in range(reps))
+        fy = stopped_value(l)
         for _ in range(reps):
-            record(stopped_value(l))
+            total += fy
+            total_sq += fy * fy
     else:
+        steps = range(1, max_steps + 1)
         for i, draw in enumerate(_replicate_draws(seed, range(reps))):
-            path = _walk(auto.transitions, auto.start, cum, draw, max_steps)
-            for step, code in enumerate(path, 1):
+            code = start
+            for step in steps:
+                code = transitions[code][bisect_right(cum, draw())]
                 if step <= lo[code] or step > hi[code]:
                     violations.append((i, step))
-            if path[-1] < 0:
-                record(stopped_value(l + len(path)))
+                if code < 0:
+                    break
             else:
                 truncated += 1
+                continue
+            fy = stopped_value(l + step)
+            total += fy
+            total_sq += fy * fy
+    n_obs = reps - truncated
 
     if n_obs:
         mean = total / n_obs

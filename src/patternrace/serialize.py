@@ -212,7 +212,6 @@ def solution_to_obj(problem: RaceProblem, sol: RaceSolution,
                     digits: Optional[int] = None,
                     series_table: Optional[SeriesTable] = None,
                     digest: Optional[str] = None) -> dict:
-    digits = digits or DEFAULT_DIGITS
     fmt = problem.alphabet.format_pattern
     out = {
         "metadata": {

@@ -1,27 +1,25 @@
 """Reference oracle: the casino net gain computed exactly at every step.
 
 Each sampled letter evaluates x = (1 - alpha^e) / (1 - alpha) - alpha^e * w
-in Fractions and compares |x| with the bound.  It shares the walk with
-`patternrace.oracle.martingale_check` but neither its seeding, since it
-builds random.Random(f"{seed}:{i}") for each replicate itself, nor its
-threshold arithmetic, so the tests compare the two report for report.
+in Fractions and compares |x| with the bound.  Replicate i builds
+random.Random(f"{seed}:{i}") and walks the automaton letter by letter
+into a list of the codes it visits, which is then checked code by code.
+It shares no sampling, seeding or threshold code with
+`patternrace.oracle.martingale_check`, so the tests compare the two
+report for report.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import Pattern, RaceProblem, pattern_prob
-from patternrace.oracle import (
-    DEFAULT_MAX_STEPS,
-    MartingaleReport,
-    _cumulative,
-    _walk,
-    build_automaton,
-)
+from patternrace.oracle import DEFAULT_MAX_STEPS, MartingaleReport, build_automaton
 
 _ZERO = Fraction(0)
 
@@ -53,7 +51,8 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
         else:
             weights.append(_ZERO)
 
-    cum = _cumulative(alphabet.probs)
+    cum = list(accumulate(float(p) for p in alphabet.probs))
+    cum[-1] = 1.0
 
     violations = []
     truncated = 0
@@ -77,8 +76,12 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
                 violations.append((i, 0))
             record(y)
             continue
-        path = _walk(auto.transitions, auto.start, cum, random.Random(f"{seed}:{i}").random,
-                     max_steps)
+        rng = random.Random(f"{seed}:{i}")
+        path = []
+        code = auto.start
+        while len(path) < max_steps and code >= 0:
+            code = auto.transitions[code][bisect_right(cum, rng.random())]
+            path.append(code)
         ap = alpha ** l
         for step, code in enumerate(path, 1):
             ap *= alpha

@@ -78,7 +78,7 @@ def test_self_correlation_has_full_overlap_term():
             assert terms[-len(b)] == 1 / pattern_prob(b, prob.alphabet)
             # every present coefficient is the reciprocal prefix probability
             for e, c in terms.items():
-                prefix = Pattern(b.prefix(-e))
+                prefix = Pattern(b.letters[:-e])
                 assert c == 1 / pattern_prob(prefix, prob.alphabet)
 
 

@@ -1,5 +1,6 @@
 """Every name a module of the package or of its tests imports is
-referenced in it.
+referenced in it, and no reference implementation imports a private
+name from the package.
 
 The package's __init__.py is skipped: its imports are re-exports.
 """
@@ -14,6 +15,7 @@ import patternrace
 MODULES = sorted(p for p in Path(patternrace.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+REFERENCES = sorted(Path(__file__).parent.glob("*_reference.py"))
 
 
 def imported_names(tree):
@@ -34,3 +36,15 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+def test_references_import_no_private_names(path):
+    """A reference shares no private helper with the code it checks."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "patternrace"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private

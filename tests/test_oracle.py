@@ -337,6 +337,14 @@ def test_martingale_alpha_range(fair_coin):
         martingale_check(race, 0, Fraction(0), 10)
 
 
+@pytest.mark.parametrize("pattern_index", [-1, 2])
+def test_martingale_pattern_index_range(fair_coin, pattern_index):
+    race = RaceProblem(alphabet=fair_coin,
+                       patterns=(fair_coin.pattern("THH"), fair_coin.pattern("HTH")))
+    with pytest.raises(ValueError, match="pattern_index"):
+        martingale_check(race, pattern_index, Fraction(1, 2), 10)
+
+
 def test_martingale_trivial_head(fair_coin):
     rep = martingale_check(one_pattern(fair_coin, "H"), 0, Fraction(1, 2), reps=2000, seed=3)
     assert rep.y0 == 0

@@ -15,11 +15,10 @@ both A and B, so the correlation kernel is diffed directly: 810
 correlate jobs.  Two more jobs, `race --series 1500` with and without
 --oracle on letters 1/1000 and 999/1000, print integers of 4,501
 digits, past Python's default int-to-str limit, so the Decimal path of
-the printer is diffed too.  Each simulate job also runs once more with
---max-steps 3 and once with its --seed S negated as -1 - S, and each
-martingale job once with its seed negated, so the truncated walk and
-negative seeds are diffed as well: 180 sampling jobs, 1,712 jobs in
-all.  Each checkout runs all jobs in one
+the printer is diffed too.  Each simulate and martingale job also runs
+once more with --max-steps 3 and once with its --seed S negated as
+-1 - S, so the truncated walks and negative seeds are diffed as well:
+240 sampling jobs, 1,772 jobs in all.  Each checkout runs all jobs in one
 worker process with its own bench/run.py: load_program imports
 patternrace.cli from that checkout's src, and run_job calls it
 in-process with stdout captured, as the benchmark does.  The two outputs are then compared job
@@ -69,8 +68,8 @@ def make_jobs(directory: str) -> list:
     race job the same job once more without --series N, so that the
     oracle also runs to its own horizon alone; for each race_initial job
     `race FILE --alpha 9/10` and its correlate jobs; for each simulate
-    job its --max-steps 3 and negated-seed runs, and for each martingale
-    job its negated-seed run; then the two past-limit jobs."""
+    and martingale job its --max-steps 3 and negated-seed runs; then the
+    two past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -85,10 +84,9 @@ def make_jobs(directory: str) -> list:
                         argv = job.argv[:at] + job.argv[at + 2:]
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=argv, horizon=0)))
-                    if job.kind == "simulate":
+                    if job.kind in ("simulate", "martingale"):
                         jobs.append((name, seed, index, dataclasses.replace(
                             job, argv=job.argv + ["--max-steps", str(TRUNCATED_STEPS)])))
-                    if job.kind in ("simulate", "martingale"):
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=negated_seed(job.argv))))
                     if name == "race_initial":

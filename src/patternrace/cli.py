@@ -88,7 +88,7 @@ def cmd_race(args) -> int:
     mismatch = False
     if args.oracle:
         auto = oracle_mod.build_automaton(problem)
-        dp, why = oracle_mod.certify(auto, sol, table.horizon if table is not None else 0)
+        why, series_why = oracle_mod.certify(auto, sol, table)
         agree = why is None
         # Agreement certifies the printed values as g_k(1) and q_tau(1).
         oracle_out = {
@@ -97,19 +97,16 @@ def cmd_race(args) -> int:
             "agree": agree,
         }
         if table is not None:
-            # Both tables hold the scaled integer columns they computed.
-            series_agree = dp == table
-            oracle_out["series_agree"] = series_agree
-            if not series_agree and why is None:
-                why = oracle_mod.series_disagreement(auto, table, dp)
-            agree = agree and series_agree
-        if why is not None:
+            oracle_out["series_agree"] = series_why is None
+        out["oracle"] = oracle_out
+        # A function's disagreement is named before a series entry's.
+        why = why or series_why
+        mismatch = why is not None
+        if mismatch:
             at = "" if why.index is None else f" coefficient {why.index}"
             print(f"oracle disagreement: {why.quantity}{at}: closed form "
                   f"{rational_str(why.closed_form)}, oracle {rational_str(why.oracle)}",
                   file=sys.stderr)
-        out["oracle"] = oracle_out
-        mismatch = not agree
     if args.table:
         _print_race_table(out)
     else:

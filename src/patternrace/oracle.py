@@ -162,57 +162,54 @@ class Disagreement(NamedTuple):
     oracle: Fraction
 
 
-def certify(auto: PrefixAutomaton, solution: RaceSolution, n: int):
-    """(the DP table to horizon n, the first Disagreement or None).
+def certify(auto: PrefixAutomaton, solution: RaceSolution,
+            table: Optional[SeriesTable] = None):
+    """(the first Disagreement of a function or printed value, the first
+    entry in which the closed-form table differs from the DP), each None
+    when there is none; the second is None without a table.
 
     A chain generating function has numerator and denominator of degree
     <= t = len(auto.states) and denominator 1 at 0, so N/D, D(0) != 0,
     equals it if their series S agree on 0..h = t + max(deg N, deg D),
     checked as D S = N on scaled integers.  Only certified functions are
-    evaluated at 1, where a wrong one may have a pole.
+    evaluated at 1, where a wrong one may have a pole.  The DP runs to
+    the larger of h and the table's horizon.
     """
     pats = [auto.problem.alphabet.format_pattern(p) for p in auto.problem.patterns]
     funcs = [("q_tau", solution.q_tau), ("g_total", solution.g_total)] + [
         (f"g_{k} ({p})", g) for k, (p, g) in enumerate(zip(pats, solution.g_per_pattern), 1)]
     h = len(auto.states) - 1 + max(len(c) for _, f in funcs for c in (f.inum, f.iden))
-    table = exact_distribution(auto, max(n, h))
-    d = table.d
+    n = 0 if table is None else table.horizon
+    dp = exact_distribution(auto, max(n, h))
+    d = dp.d
+    series_why = None
+    if table is not None:
+        for k, (p, col, dp_col) in enumerate(zip(pats, table.columns, dp.columns)):
+            if col != dp_col[:n + 1]:
+                i = next(i for i, (c, o) in enumerate(zip(col, dp_col)) if c != o)
+                series_why = Disagreement(f"series per_pattern[{k}] ({p})", i,
+                                          Fraction(col[i], d ** i), Fraction(dp_col[i], d ** i))
+                break
     powers = list(accumulate(repeat(d, h), mul, initial=1))
-    totals = table.scaled_totals()
+    totals = dp.scaled_totals()
     # d**i P(tau > i) = d (d**(i-1) P(tau > i-1)) - totals[i]
     live = list(accumulate([1 - totals[0], *totals[1:]], lambda x, t: x * d - t))
-    cut = SeriesTable(d, tuple(col[:n + 1] for col in table.columns))
-    for (name, f), dp in zip(funcs, [live, totals, *table.columns]):
+    for (name, f), s in zip(funcs, [live, totals, *dp.columns]):
         num = f.inum
         den = list(map(mul, f.iden, powers))
         for i in range(h + 1):
-            r = sum(map(mul, den, reversed(dp[max(0, i + 1 - len(den)):i + 1])))
+            r = sum(map(mul, den, reversed(s[max(0, i + 1 - len(den)):i + 1])))
             r -= num[i] * powers[i] if i < len(num) else 0
             if r:
-                return cut, Disagreement(name, i, Fraction(dp[i] * den[0] - r, den[0] * powers[i]),
-                                         Fraction(dp[i], powers[i]))
+                return Disagreement(name, i, Fraction(s[i] * den[0] - r, den[0] * powers[i]),
+                                    Fraction(s[i], powers[i])), series_why
     values = [(f"win probability of {p}", w, g)
               for p, w, g in zip(pats, solution.win_probs, solution.g_per_pattern)]
     for name, printed, f in values + [("expected_tau", solution.expected_tau, solution.q_tau)]:
         value = f(1)
         if printed != value:
-            return cut, Disagreement(name, None, printed, value)
-    return cut, None
-
-
-def series_disagreement(auto: PrefixAutomaton, table: SeriesTable,
-                        dp: SeriesTable) -> Optional[Disagreement]:
-    """The first entry in which the closed-form table differs from the
-    DP table of the same problem and horizon, or None."""
-    d = table.d
-    for k, (p, col, dp_col) in enumerate(zip(auto.problem.patterns, table.columns,
-                                             dp.columns)):
-        for i, (c, o) in enumerate(zip(col, dp_col)):
-            if c != o:
-                name = auto.problem.alphabet.format_pattern(p)
-                return Disagreement(f"series per_pattern[{k}] ({name})", i,
-                                    Fraction(c, d ** i), Fraction(o, d ** i))
-    return None
+            return Disagreement(name, None, printed, value), series_why
+    return None, series_why
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +235,15 @@ def _replicate_draws(seed: int, indices: Iterable[int]) -> Iterator[Callable[[],
     A str seed hashes through sha512, so each replicate has its own
     stream, stable across runs and platforms and independent of run
     order.  random.Random.seed turns it into the int below (Python
-    3.10-3.13), with the sha512 it imports as random._sha512, and seeds
-    the C generator with it; one generator reseeded that way in place
-    skips building a Random per replicate.  Each yielded callable is the
-    same bound method, valid until the next replicate is drawn.
+    3.10-3.13) with the sha512 bound as random._sha512, and seeds the C
+    generator with it; one generator reseeded that way in place skips
+    building a Random per replicate.  Python 3.10-3.12 bind that global
+    when random is imported, 3.13 only on the first str or bytes seed,
+    so the generator is built from the str seed "" before it is read.
+    Each yielded callable is the same bound method, valid until the
+    next replicate is drawn.
     """
-    rng = random.Random()
+    rng = random.Random("")
     reseed, draw, sha512 = super(random.Random, rng).seed, rng.random, random._sha512
     for i in indices:
         b = f"{seed}:{i}".encode()

@@ -24,7 +24,6 @@ from .model import (
     Pattern,
     PatternError,
     RaceProblem,
-    make_alphabet,
     parse_rational,
 )
 from .solver import RaceSolution, SeriesTable
@@ -101,14 +100,15 @@ def problem_from_obj(obj) -> RaceProblem:
     for key in ("alphabet", "patterns"):
         if not isinstance(obj[key], list):
             raise ParseError(f"'{key}' must be a JSON list")
-    entries = []
+    symbols, probs = [], []
     for item in obj["alphabet"]:
         if not isinstance(item, dict) or "symbol" not in item or "prob" not in item:
             raise ParseError("alphabet entries need 'symbol' and 'prob'")
-        entries.append((item["symbol"], parse_rational_str(item["prob"])))
+        symbols.append(item["symbol"])
+        probs.append(parse_rational_str(item["prob"]))
     try:
-        alphabet = make_alphabet(entries)
-    except (AlphabetError, ValueError) as e:
+        alphabet = Alphabet(tuple(symbols), tuple(probs))
+    except AlphabetError as e:
         raise ParseError(f"bad alphabet: {e}") from None
     patterns = tuple(parse_pattern_spec(p, alphabet) for p in obj["patterns"])
     initial = obj.get("initial")

@@ -196,6 +196,21 @@ def test_race_oracle_names_a_corrupted_series_entry(problem_file, capsys, monkey
     assert oracle["win_probs"] == ["5/12", "1/3", "1/4"]
 
 
+def test_race_oracle_names_a_function_before_its_series(problem_file, capsys,
+                                                        monkeypatch):
+    # The series runs past the raised coefficient, so both the function's
+    # certificate and the table comparison fail; stderr names the function.
+    bad, index = corrupt_solution(solve_race(parse_problem(json.dumps(THREE_WAY))), "g_1")
+    monkeypatch.setattr(solver_mod, "solve_race", lambda problem: bad)
+    assert main(["race", problem_file, "--oracle", "--series", str(index)]) == 4
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"oracle disagreement: g_1 (THH) coefficient {index}: ")
+    oracle = json.loads(captured.out)["oracle"]
+    assert oracle["agree"] is False and oracle["series_agree"] is False
+
+
 def test_race_series_zero_with_absorbing_start(tmp_path, capsys):
     obj = dict(THREE_WAY, initial="HTH")
     path = write_problem(tmp_path, obj)
@@ -286,6 +301,21 @@ def test_max_steps_below_one_is_usage_error(problem_file, capsys, argv, max_step
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-steps must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--reps", "3"],
+    ["martingale", "--alpha", "1/2", "--reps", "3"],
+])
+def test_sampling_in_a_fresh_process(problem_file, capsys, argv):
+    # A fresh process has seeded no generator from a str before the
+    # command runs; Python 3.13 binds random's sha512 only on such a seed.
+    argv = [argv[0], problem_file] + argv[1:]
+    assert main(argv) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-m", "patternrace.cli"] + argv,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)
 
 
 def test_martingale_ok(tmp_path, capsys):

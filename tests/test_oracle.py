@@ -10,6 +10,7 @@ import pytest
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import Pattern, RaceProblem, make_alphabet, pattern_prob
 from patternrace.oracle import (
+    Disagreement,
     OracleError,
     PrefixAutomaton,
     build_automaton,
@@ -141,9 +142,7 @@ def _assert_certified(prob):
     printed ones, equal the Fraction reference's."""
     auto = build_automaton(prob)
     sol = solve_race(prob)
-    table, why = certify(auto, sol, 12)
-    assert why is None
-    assert table == exact_distribution(auto, 12)
+    assert certify(auto, sol, series(prob, 12, sol)) == (None, None)
     assert (sol.win_probs, sol.expected_tau) == absorbing_reference.absorbing_solve(auto)
     assert (tuple(g(1) for g in sol.g_per_pattern), sol.q_tau(1)) == \
         (sol.win_probs, sol.expected_tau)
@@ -169,6 +168,7 @@ def test_certify_calls_no_solver_or_correlation_code(three_way, monkeypatch):
     prob = RaceProblem(alphabet=three_way.alphabet, patterns=three_way.patterns,
                        initial=three_way.alphabet.pattern("TH"))
     sol = solve_race(prob)
+    table = series(prob, 12, sol)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("certify reached solver or correlation code")
@@ -181,14 +181,14 @@ def test_certify_calls_no_solver_or_correlation_code(three_way, monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
                 if getattr(oracle_mod, name, None) is fn:
                     monkeypatch.setattr(oracle_mod, name, forbidden)
-    assert certify(build_automaton(prob), sol, 12)[1] is None
+    assert certify(build_automaton(prob), sol, table) == (None, None)
 
 
 @pytest.mark.parametrize("which, name", [
     ("q_tau", "q_tau"), ("g_total", "g_total"), ("g_1", "g_1 (THH)")])
 def test_certify_names_a_corrupted_function(three_way, which, name):
     bad, index = corrupt_solution(solve_race(three_way), which)
-    _, why = certify(build_automaton(three_way), bad, 3)
+    why, _ = certify(build_automaton(three_way), bad)
     assert (why.quantity, why.index) == (name, index)
     assert why.closed_form != why.oracle
 
@@ -197,12 +197,26 @@ def test_certify_names_a_wrong_printed_value(three_way):
     sol = solve_race(three_way)
     auto = build_automaton(three_way)
     bad = dataclasses.replace(sol, win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
-    _, why = certify(auto, bad, 0)
+    why, _ = certify(auto, bad)
     assert (why.quantity, why.index, why.closed_form, why.oracle) == \
         ("win probability of THH", None, Fraction(1, 2), Fraction(5, 12))
     bad = dataclasses.replace(sol, expected_tau=Fraction(5))
-    _, why = certify(auto, bad, 0)
+    why, _ = certify(auto, bad)
     assert (why.quantity, why.oracle) == ("expected_tau", Fraction(31, 6))
+
+
+def test_certify_names_a_corrupted_series_entry(three_way):
+    # Every function is certified, so only the table comparison sees it.
+    sol = solve_race(three_way)
+    auto = build_automaton(three_way)
+    assert certify(auto, sol) == (None, None)
+    table = series(three_way, 8, sol)
+    col = table.columns[0]
+    bad = dataclasses.replace(table, columns=(col[:5] + (col[5] + 1,) + col[6:],)
+                              + table.columns[1:])
+    # P(tau = 5, THH wins) = 1/16 in the three-way coin race
+    assert certify(auto, sol, bad) == (
+        None, Disagreement("series per_pattern[0] (THH)", 5, Fraction(3, 32), Fraction(1, 16)))
 
 
 def test_absorbing_solve_singular_chain(three_way):

@@ -8,7 +8,9 @@ of this checkout writes the problem files of every workload, seeds 1-3
 and passes 0-9 into one temporary directory and returns the jobs, so both
 checkouts read the same bytes; each race job also runs once without
 --series N, and each race_initial job once more as `race FILE --alpha
-9/10`, which evaluates every generating function there, 720 jobs.
+9/10`, which evaluates every generating function there, and once as
+`race FILE --oracle --table`, which prints the plain-text summary with
+its oracle agreement line, 840 jobs.
 Each race_initial job also runs `correlate FILE --a INITIAL --b B
 --alpha 9/10` for every pattern B, and once with the first pattern as
 both A and B, so the correlation kernel is diffed directly: 810
@@ -18,12 +20,14 @@ digits, past Python's default int-to-str limit, so the Decimal path of
 the printer is diffed too.  Each simulate and martingale job also runs
 once more with --max-steps 3 and once with its --seed S negated as
 -1 - S, so the truncated walks and negative seeds are diffed as well:
-240 sampling jobs, 1,772 jobs in all.  Each checkout runs all jobs in one
+240 sampling jobs, 1,892 jobs in all.  Each checkout runs all jobs in one
 worker process with its own bench/run.py: load_program imports
 patternrace.cli from that checkout's src, and run_job calls it
 in-process with stdout captured, as the benchmark does.  The two outputs are then compared job
 by job.  Exit status 0 means every job printed the same stdout with the
-same exit code in both checkouts.
+same exit code in both checkouts, and no job exited 1 in either: the CLI
+never returns 1, so that code is an uncaught exception, and a crash on
+both sides would otherwise pass as a match.
 """
 
 from __future__ import annotations
@@ -67,9 +71,9 @@ def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
     oracle also runs to its own horizon alone; for each race_initial job
-    `race FILE --alpha 9/10` and its correlate jobs; for each simulate
-    and martingale job its --max-steps 3 and negated-seed runs; then the
-    two past-limit jobs."""
+    `race FILE --alpha 9/10`, `race FILE --oracle --table` and its
+    correlate jobs; for each simulate and martingale job its --max-steps
+    3 and negated-seed runs; then the two past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -90,9 +94,9 @@ def make_jobs(directory: str) -> list:
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=negated_seed(job.argv))))
                     if name == "race_initial":
-                        argv = job.argv[:2] + ["--alpha", ALPHA]
-                        jobs.append((name, seed, index,
-                                     dataclasses.replace(job, argv=argv, horizon=0)))
+                        for extra in (["--alpha", ALPHA], ["--oracle", "--table"]):
+                            jobs.append((name, seed, index, dataclasses.replace(
+                                job, argv=job.argv[:2] + extra, horizon=0)))
                         path, pats = job.argv[1], job.problem["patterns"]
                         pairs = [(job.problem["initial"], b) for b in pats]
                         for a, b in pairs + [(pats[0], pats[0])]:
@@ -142,21 +146,25 @@ def main(parent: str, change: str) -> int:
             sys.exit(f"worker exit codes {exits}")
         results = [json.loads(out) for out in outputs]
 
-        differ = 0
+        differ = crashed = 0
         codes: dict = {}
         for number, ((name, seed, index, job), rc_a, rc_b) in enumerate(
                 zip(jobs, *results)):
             out_a, out_b = (read(os.path.join(d, f"{number}.out")) for d in outdirs)
             codes[rc_a] = codes.get(rc_a, 0) + 1
+            if 1 in (rc_a, rc_b):
+                crashed += 1
+                print(f"CRASH {name} seed {seed} pass {index}: "
+                      f"{' '.join(job.argv)}: exit {rc_a} and {rc_b}")
             if rc_a != rc_b or out_a != out_b:
                 differ += 1
                 detail = (f"exit {rc_a} != {rc_b}" if rc_a != rc_b
                           else first_difference(out_a, out_b))
                 print(f"DIFFER {name} seed {seed} pass {index}: "
                       f"{' '.join(job.argv)}: {detail}")
-    print(json.dumps({"jobs": len(jobs), "differ": differ,
+    print(json.dumps({"jobs": len(jobs), "differ": differ, "crashed": crashed,
                       "parent_exit_codes": {str(k): v for k, v in sorted(codes.items())}}))
-    return 1 if differ else 0
+    return 1 if differ or crashed else 0
 
 
 def worker(checkout: str, directory: str) -> None:

@@ -15,7 +15,7 @@ Mersenne Twister's 624-word initialisation) is the floor of a
 replicate's cost, which the sampling contract fixes; the walk is the
 rest.  Both walk each replicate in the same tight loop, which keeps
 no path: monte_carlo keeps only its stopping step and final code, and
-martingale_check checks each code against its thresholds as it steps.
+martingale_check checks each code against its threshold as it steps.
 """
 
 from __future__ import annotations
@@ -57,42 +57,30 @@ class PrefixAutomaton:
 
 
 def build_automaton(problem: RaceProblem) -> PrefixAutomaton:
+    """The prefix automaton of a race.  Validation's mutual-containment
+    rule keeps a pattern from ending another, so a letter completes at
+    most one; its initial-contains-pattern rule lets the initial word
+    complete one only at its last letter, so feeding it is a plain fold.
+    """
     pats = [p.letters for p in problem.patterns]
     states = sorted({p[:i] for p in pats for i in range(len(p))},
                     key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(states)}
-    nletters = problem.alphabet.size
 
     def step(state: tuple, letter: int) -> int:
         cand = state + (letter,)
-        hits = [k for k, p in enumerate(pats)
-                if len(cand) >= len(p) and cand[len(cand) - len(p):] == p]
-        if len(hits) > 1:
-            raise OracleError(
-                f"two patterns complete on one letter: {hits}; "
-                "the no-mutual-subpattern rule is broken")
-        if hits:
-            return -(hits[0] + 1)
-        for drop in range(len(cand) + 1):
-            if cand[drop:] in index:
-                return index[cand[drop:]]
-        raise AssertionError("empty state must always match")
+        for k, p in enumerate(pats):
+            if cand[-len(p):] == p:
+                return -(k + 1)
+        # The empty suffix is states[0], so the longest state suffix exists.
+        return next(index[cand[i:]] for i in range(len(cand) + 1) if cand[i:] in index)
 
-    transitions = tuple(
-        tuple(step(s, a) for a in range(nletters)) for s in states
-    )
+    transitions = tuple(tuple(step(s, a) for a in range(problem.alphabet.size))
+                        for s in states)
 
     start = index[()]
-    if problem.initial is not None:
-        letters = problem.initial.letters
-        for pos, letter in enumerate(letters):
-            start = transitions[start][letter]
-            if start < 0 and pos < len(letters) - 1:
-                raise OracleError(
-                    "a pattern completed while feeding the initial word "
-                    "before its last letter; validation should forbid this")
-            if start < 0:
-                break
+    for letter in problem.initial.letters if problem.initial is not None else ():
+        start = transitions[start][letter]
     return PrefixAutomaton(problem=problem, states=tuple(states),
                            transitions=transitions, start=start)
 
@@ -324,30 +312,25 @@ class MartingaleReport:
     truncated: int
 
 
-def _last_exponent(alpha: Fraction, r: Fraction, strict: bool) -> int:
-    """Largest e >= 0 with alpha**e > r (strict) or alpha**e >= r, or -1
-    when no e qualifies.
+def _last_exponent(alpha: Fraction, r: Fraction) -> int:
+    """Largest e >= 0 with alpha**e > r, or -1 when no e qualifies.
 
     alpha lies in (0, 1) and r > 0, so alpha**e falls with e and the
     qualifying exponents are 0..e.  A float estimate of log(r)/log(alpha)
     starts the search and exact comparisons correct it, so the cost
     follows the answer, not a step cap.
     """
-    def holds(e: int) -> bool:
-        p = alpha ** e
-        return p > r if strict else p >= r
-
     def log(q: Fraction) -> float:
         # Logs of the parts, since q itself may lie past the float range.
         return math.log(q.numerator) - math.log(q.denominator)
 
-    if not holds(0):
+    if r >= 1:  # alpha**0
         return -1
     log_alpha = log(alpha)  # 0.0 once alpha is within rounding of 1
     e = max(int(log(r) / log_alpha), 0) if log_alpha < 0 else 0
-    while e > 0 and not holds(e):
+    while e > 0 and alpha ** e <= r:
         e -= 1
-    while holds(e + 1):
+    while alpha ** (e + 1) > r:
         e += 1
     return e
 
@@ -366,19 +349,18 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     After exponent e = l + step, with l the length of the initial word a,
     the net gain is x(e) = K - alpha**e * (K + w), where K = 1/(1 - alpha)
     and w >= 0 is the weight of the current automaton code: the
-    correlation of its word against b, or (B*B) once b has completed.  So
-    x rises with e, and |x| > bound holds exactly when e <= lo (x below
-    -bound) or e > hi (x above bound).  Both thresholds are found once per
-    code in exact Fractions; hi is unbounded when K <= bound, which holds
-    whenever P(b) <= 1.  The walk then compares integers only, and the
-    stopped value K - alpha**(l + tau) * (K + (B*B)) is built exactly
-    once per stopping exponent.  Every reported value is the same as
-    evaluating x in Fractions at every step.  Each replicate walks as in
-    monte_carlo, checking every code it reaches against the thresholds as
-    it steps, so it keeps no path; what a pass still spends is mostly the
-    per-replicate seeding, the floor the sampling contract fixes.  The
-    automaton is built on problem.alone(pattern_index), which validates
-    nothing again.
+    correlation of its word against b, or (B*B) once b has completed.
+    The Alphabet's positive probabilities summing to 1 give P(b) <= 1, so
+    x <= K <= K/P(b) = bound and only the lower side can fail: x < -bound
+    holds exactly when e <= lo, a threshold found once per code in exact
+    Fractions.  The walk then compares integers only, and the stopped
+    value K - alpha**(l + tau) * (K + (B*B)) is built once per stopping
+    exponent, so every reported value is the same as evaluating x in
+    Fractions at every step.  Each replicate walks as in monte_carlo,
+    checking each code against its threshold as it steps, so it keeps no
+    path; a pass spends mostly the per-replicate seeding, the floor the
+    sampling contract fixes.  The automaton is built on
+    problem.alone(pattern_index), which validates nothing again.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -402,12 +384,8 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
         [a] + [Pattern(s) if s else None for s in auto.states] + [b], b, alphabet)]
     bb = weights[-1]
     y0 = k - alpha ** l * (k + ab)
-    # Step thresholds: step s of a path at code c violates the bound
-    # iff s <= lo[c] or s > hi[c].
-    lo = [_last_exponent(alpha, (k + bound) / (k + w), strict=True) - l
-          for w in weights]
-    hi = [_last_exponent(alpha, (k - bound) / (k + w), strict=False) - l
-          if k > bound else math.inf for w in weights]
+    # Step s of a path at code c violates the bound iff s <= lo[c].
+    lo = [_last_exponent(alpha, (k + bound) / (k + w)) - l for w in weights]
 
     stopped: Dict[int, float] = {}
 
@@ -424,12 +402,12 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     total = 0.0
     total_sq = 0.0
 
-    if abs(y0) > bound:
+    if y0 < -bound:
         violations.append((-1, 0))
     if start < 0:
         # b completed inside the initial word: every replicate stops at
         # step 0 with the same value.
-        if 0 <= lo[-1] or 0 > hi[-1]:
+        if 0 <= lo[-1]:
             violations.extend((i, 0) for i in range(reps))
         fy = stopped_value(l)
         for _ in range(reps):
@@ -441,7 +419,7 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
             code = start
             for step in steps:
                 code = transitions[code][bisect_right(cum, draw())]
-                if step <= lo[code] or step > hi[code]:
+                if step <= lo[code]:
                     violations.append((i, step))
                 if code < 0:
                     break

@@ -33,6 +33,7 @@ from patternrace.serialize import (
 )
 from patternrace.solver import solve_race
 
+import martingale_reference
 from conftest import corrupt_solution, rf_from_obj
 
 THREE_WAY = {
@@ -535,15 +536,17 @@ def test_invalid_problem_reports_like_validate(tmp_path, capsys, argv):
 
 
 def test_martingale_violation_exits_5(problem_file, capsys, monkeypatch):
-    # A pattern probability of 10**6 shrinks the pathwise bound
-    # 1 / ((1 - alpha) P(b)) below every nonzero net gain.
-    monkeypatch.setattr(oracle_mod, "pattern_prob", lambda b, alphabet: Fraction(10 ** 6))
-    assert main(["martingale", problem_file, "--alpha", "1/2", "--reps", "3",
+    # P(b) = 1, the largest valid pattern probability, puts the pathwise
+    # bound at 1 / (1 - alpha) = 2, which a heavy live weight breaks from
+    # below.
+    for module in (oracle_mod, martingale_reference):
+        monkeypatch.setattr(module, "pattern_prob", lambda b, alphabet: Fraction(1))
+    assert main(["martingale", problem_file, "--alpha", "1/2", "--reps", "10",
                  "--seed", "4"]) == 5
     violations = [tuple(v) for v in json.loads(capsys.readouterr().out)["violations"]]
-    assert violations == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
-                          (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-                          (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
+    ref = martingale_reference.martingale_check(parse_problem(json.dumps(THREE_WAY)), 0,
+                                                Fraction(1, 2), 10, seed=4)
+    assert violations == list(ref.violations) == [(4, 4), (6, 2), (6, 3)]
 
 
 def _count_calls(monkeypatch, *functions):

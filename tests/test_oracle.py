@@ -76,6 +76,41 @@ def test_automaton_absorbing_start(fair_coin, three_way):
     assert auto.start == -3  # pattern index 2 completed at the last letter
 
 
+@pytest.mark.parametrize("with_initial", [False, True])
+def test_automaton_equals_brute_force_random(with_initial):
+    # Each code is computed from the word itself: the pattern it ends
+    # with, else the state that is its longest suffix.  Validation is what
+    # keeps a word from ending two patterns, and the initial word from
+    # ending one before its last letter.
+    def ends(word, p):
+        return len(word) >= len(p) and word[len(word) - len(p):] == p
+
+    rng = random.Random(611 + with_initial)
+    absorbed = 0
+    for _ in range(60):
+        prob = random_problem(rng, with_initial=with_initial)
+        pats = [p.letters for p in prob.patterns]
+        auto = build_automaton(prob)
+        assert auto.states[0] == ()
+        assert set(auto.states) == {p[:i] for p in pats for i in range(len(p))}
+
+        def code(word):
+            ended = [k for k, p in enumerate(pats) if ends(word, p)]
+            assert len(ended) <= 1, (word, ended)
+            if ended:
+                return -(ended[0] + 1)
+            return auto.states.index(max((s for s in auto.states if ends(word, s)), key=len))
+
+        for state, row in zip(auto.states, auto.transitions):
+            assert row == tuple(code(state + (a,)) for a in range(prob.alphabet.size))
+        word = () if prob.initial is None else prob.initial.letters
+        assert all(code(word[:i]) >= 0 for i in range(len(word)))
+        assert auto.start == code(word)
+        absorbed += auto.start < 0
+    if with_initial:
+        assert absorbed  # the fold also ends on a completed pattern
+
+
 # ---------------------------------------------------------------------------
 # exact DP
 
@@ -482,15 +517,6 @@ def test_martingale_equals_reference_absorbed_start(fair_coin, monkeypatch, prob
     assert len(ref.violations) == (0 if prob is None else 1 + 7)
 
 
-def test_martingale_equals_reference_finite_upper_threshold(fair_coin, monkeypatch):
-    # P(b) > 1 puts the bound below 1 / (1 - alpha), so late steps of a
-    # long path exceed it from above while early ones stay inside.
-    _patch_pattern_prob(monkeypatch, Fraction(3, 2))
-    ref = _both(one_pattern(fair_coin, "HTHH"), 0, Fraction(3, 5), reps=40, seed=3)
-    steps = {step for _, step in ref.violations}
-    assert steps and min(steps) > 1
-
-
 def test_martingale_equals_reference_late_lower_threshold(fair_coin, monkeypatch):
     # With P(b) = 1 the bound is exactly 1 / (1 - alpha), so no net gain
     # exceeds it from above; a heavy live weight still drives it below
@@ -500,21 +526,12 @@ def test_martingale_equals_reference_late_lower_threshold(fair_coin, monkeypatch
     assert any(step > 1 for _, step in ref.violations)
 
 
-def test_martingale_equals_reference_on_the_bound(fair_coin, monkeypatch):
-    # b = HH, alpha = 1/2, bound 1: after one letter the net gain is
-    # exactly 1 (state empty) or exactly -1 (state H), neither > 1.
-    _patch_pattern_prob(monkeypatch, Fraction(2))
-    ref = _both(one_pattern(fair_coin, "HH"), 0, Fraction(1, 2), reps=30, seed=4)
-    assert ref.violations
-    assert all(step > 1 for _, step in ref.violations)
-
-
 def test_last_exponent_matches_stepping():
     # Exact powers and their neighbours are where a float estimate of
     # log(r) / log(alpha) lands on the wrong side of an integer.
-    def stepping(alpha, r, strict):
+    def stepping(alpha, r):
         e = -1
-        while (alpha ** (e + 1) > r) if strict else (alpha ** (e + 1) >= r):
+        while alpha ** (e + 1) > r:
             e += 1
         return e
 
@@ -523,6 +540,4 @@ def test_last_exponent_matches_stepping():
         for e in (0, 1, 2, 5, 17, 40):
             for r in (alpha ** e, alpha ** e * Fraction(10 ** 12 + 1, 10 ** 12),
                       alpha ** e * Fraction(10 ** 12 - 1, 10 ** 12), Fraction(3, 2)):
-                for strict in (False, True):
-                    assert (oracle_mod._last_exponent(alpha, r, strict)
-                            == stepping(alpha, r, strict)), (alpha, r, strict)
+                assert oracle_mod._last_exponent(alpha, r) == stepping(alpha, r), (alpha, r)

@@ -20,11 +20,15 @@ digits, past Python's default int-to-str limit, so the Decimal path of
 the printer is diffed too.  Each simulate and martingale job also runs
 once more with --max-steps 3 and once with its --seed S negated as
 -1 - S, so the truncated walks and negative seeds are diffed as well:
-240 sampling jobs, 1,892 jobs in all.  Each checkout runs all jobs in one
-worker process with its own bench/run.py: load_program imports
-patternrace.cli from that checkout's src, and run_job calls it
-in-process with stdout captured, as the benchmark does.  The two outputs are then compared job
-by job.  Exit status 0 means every job printed the same stdout with the
+240 sampling jobs.  Each martingale job runs once more with --alpha 1/3,
+and each race_initial job writes a copy of its problem whose initial
+word is its first pattern, which starts absorbed, and runs `race COPY
+--oracle --series 8` on it: 180 jobs, 2,072 jobs in all.  Each
+checkout runs all jobs in one worker process with its own
+bench/run.py: load_program imports patternrace.cli from that
+checkout's src, and run_job calls it in-process with stdout captured,
+as the benchmark does.  The two outputs are then compared job by job.
+Exit status 0 means every job printed the same stdout with the
 same exit code in both checkouts, and no job exited 1 in either: the CLI
 never returns 1, so that code is an uncaught exception, and a crash on
 both sides would otherwise pass as a match.
@@ -50,6 +54,10 @@ PAST_LIMIT_HORIZON = 1500
 ALPHA = "9/10"
 # Shorter than most simulate patterns, so many replicates stop by truncation.
 TRUNCATED_STEPS = 3
+# A second martingale alpha, far from the benchmark's workloads.MARTINGALE_ALPHA.
+SECOND_ALPHA = "1/3"
+# --series of the race_initial copies that start absorbed.
+ABSORBED_SERIES = 8
 
 
 def bench_module(checkout: str, name: str):
@@ -61,19 +69,26 @@ def bench_module(checkout: str, name: str):
     return __import__(name)
 
 
+def replaced(argv: list, flag: str, value: str) -> list:
+    """argv with the value that follows flag replaced by value."""
+    at = argv.index(flag) + 1
+    return argv[:at] + [value] + argv[at + 1:]
+
+
 def negated_seed(argv: list) -> list:
     """argv with its --seed S replaced by -1 - S, which is negative."""
-    at = argv.index("--seed") + 1
-    return argv[:at] + [str(-1 - int(argv[at]))] + argv[at + 1:]
+    return replaced(argv, "--seed", str(-1 - int(argv[argv.index("--seed") + 1])))
 
 
 def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
     oracle also runs to its own horizon alone; for each race_initial job
-    `race FILE --alpha 9/10`, `race FILE --oracle --table` and its
-    correlate jobs; for each simulate and martingale job its --max-steps
-    3 and negated-seed runs; then the two past-limit jobs."""
+    `race FILE --alpha 9/10`, `race FILE --oracle --table`, its
+    correlate jobs and `race --oracle --series 8` on its absorbed copy;
+    for each simulate and martingale job its --max-steps 3 and
+    negated-seed runs, and for each martingale job its --alpha 1/3 run;
+    then the two past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -93,6 +108,9 @@ def make_jobs(directory: str) -> list:
                             job, argv=job.argv + ["--max-steps", str(TRUNCATED_STEPS)])))
                         jobs.append((name, seed, index,
                                      dataclasses.replace(job, argv=negated_seed(job.argv))))
+                    if job.kind == "martingale":
+                        jobs.append((name, seed, index, dataclasses.replace(
+                            job, argv=replaced(job.argv, "--alpha", SECOND_ALPHA))))
                     if name == "race_initial":
                         for extra in (["--alpha", ALPHA], ["--oracle", "--table"]):
                             jobs.append((name, seed, index, dataclasses.replace(
@@ -103,6 +121,12 @@ def make_jobs(directory: str) -> list:
                             argv = ["correlate", path, "--a", a, "--b", b, "--alpha", ALPHA]
                             jobs.append((name, seed, index, dataclasses.replace(
                                 job, kind="correlate", argv=argv, horizon=0)))
+                        absorbed = dict(job.problem, initial=pats[0])
+                        copy = path[:-len(".json")] + "-absorbed.json"
+                        workloads.write_problem(absorbed, copy)
+                        argv = ["race", copy, "--oracle", "--series", str(ABSORBED_SERIES)]
+                        jobs.append((name, seed, index, workloads.Job(
+                            "race", argv, absorbed, horizon=ABSORBED_SERIES)))
     path = os.path.join(directory, "past-limit.json")
     workloads.write_problem(PAST_LIMIT, path)
     for oracle in ([], ["--oracle"]):

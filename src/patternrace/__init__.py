@@ -15,7 +15,6 @@ from .model import (
 )
 from .correlation import correlation
 from .solver import (
-    DegenerateCollectionError,
     RaceSolution,
     SeriesTable,
     series,
@@ -34,7 +33,6 @@ from .oracle import (
 
 __all__ = [
     "Alphabet",
-    "DegenerateCollectionError",
     "MartingaleReport",
     "MonteCarloReport",
     "Pattern",

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 2 validation or usage
-error or a degenerate race system, 3 parse error, 4 solver/oracle
-disagreement, 5 martingale bound violation.
+error, 3 parse error, 4 solver/oracle disagreement, 5 martingale bound
+violation.
 """
 
 from __future__ import annotations
@@ -285,9 +285,6 @@ def main(argv=None) -> int:
         return _emit_report(e.report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except solver_mod.DegenerateCollectionError as e:
-        print(f"degenerate collection: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,10 +1,11 @@
 """Closed-form race engine.
 
 The competing-pattern linear system solved exactly by one fraction-free
-elimination over Z[alpha], and exact power-series extraction of
-waiting-time distributions.  A single pattern is the race with m = 1.
-fraction_free_solve is the package's one elimination kernel; the
-automaton DP certifies its answers without sharing this module's code.
+elimination without pivoting over Z[alpha], and exact power-series
+extraction of waiting-time distributions.  A single pattern is the race
+with m = 1.  fraction_free_solve is the package's one elimination
+kernel; the automaton DP certifies its answers without sharing this
+module's code.
 
 With d the lcm of the letter-probability denominators,
 d**n * P(tau = n, k wins) is an integer, so the series recurrence runs
@@ -32,10 +33,6 @@ from .model import RaceProblem
 
 class SolverError(RuntimeError):
     pass
-
-
-class DegenerateCollectionError(SolverError):
-    """The race system is singular, or its determinant vanishes at alpha=1."""
 
 
 class ZeroConstantDenominatorError(SolverError):
@@ -94,24 +91,18 @@ def fraction_free_solve(a: List[list]):
     Entries are integer polynomials (int lists, ascending exponents); the
     last r = len(a[0]) - n columns are right-hand sides.  Returns
     (det, ys) with det = det A and, for each right-hand column c,
-    ys[c][i] = det * x_i, the Cramer numerators, all exact; det is [] and
-    ys None when A is singular.  Bareiss elimination (Bareiss 1968):
-    after step k every a[i][j] (i, j > k) is a (k+2)-minor, so dividing
-    by the previous pivot is exact; back-substitution keeps each y in
-    Z[alpha] the same way.
+    ys[c][i] = det * x_i, the Cramer numerators, all exact.  Bareiss
+    elimination without pivoting (Bareiss 1968): after step k every
+    a[i][j] (i, j > k) is a (k+2)-minor, so dividing by the previous
+    pivot is exact; back-substitution keeps each y in Z[alpha] the same
+    way.  Every leading principal minor of A must be nonzero, as in a
+    race system (see solve_race); for r >= 1 a zero pivot raises
+    ZeroDivisionError at its next exact division, never a wrong answer.
     """
     n = len(a)
     width = len(a[0])
-    sign = 1
     prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return [], None
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot_row = a[k]
+    for k, pivot_row in enumerate(a[:-1]):
         pivot = pivot_row[k]
         for row in a[k + 1:]:
             f = row[k]
@@ -122,8 +113,6 @@ def fraction_free_solve(a: List[list]):
             row[k] = []
         prev = pivot
     det = a[n - 1][n - 1]
-    if not det:
-        return [], None
     ys = []
     for c in range(n, width):
         y: List[list] = [[]] * n
@@ -133,10 +122,6 @@ def fraction_free_solve(a: List[list]):
                 acc = ipoly_sub(acc, ipoly_mul(a[i][j], y[j]))
             y[i] = ipoly_exact_div(acc, a[i][i])
         ys.append(y)
-    if sign < 0:
-        # The last pivot is the determinant of the row-swapped matrix.
-        det = [-c for c in det]
-        ys = [[[-c for c in yi] for yi in y] for y in ys]
     return det, ys
 
 
@@ -148,7 +133,9 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     B_i and v_i that of the initial word against B_i.  Each row is cleared
     to Z[alpha], then one fraction-free elimination of the augmented
     matrix yields det A and every Cramer numerator y_i = det A * x_i.  The
-    alpha = 1 values come from the same polynomials evaluated at 1.
+    alpha = 1 values come from the same polynomials evaluated at 1.  No
+    pivot is zero: the leading (k+1)-minor is a row scale times det A of
+    the valid sub-race B_1..B_k, and mutual-containment makes det A(1) != 0.
     """
     alphabet, pats = problem.alphabet, problem.patterns
     a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
@@ -161,15 +148,8 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
         a.append(irow)
         scale *= l
 
-    det, ys = fraction_free_solve(a)
-    if not det:
-        raise DegenerateCollectionError("system denominator is identically zero")
-    y = ys[0]
-
+    det, (y,) = fraction_free_solve(a)
     det1 = sum(det)
-    if det1 == 0:
-        raise DegenerateCollectionError(
-            "sum of unit-column determinants vanishes at alpha = 1")
     g_nums = y[1:]
     total = [sum(g[e] for g in g_nums if e < len(g))
              for e in range(max(map(len, g_nums)))]

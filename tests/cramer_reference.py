@@ -24,7 +24,7 @@ from patternrace.algebra import (
 )
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import RaceProblem
-from patternrace.solver import DegenerateCollectionError, RaceSolution
+from patternrace.solver import RaceSolution
 
 from rf_field import RF
 from single_reference import ONE_MINUS_ALPHA, laurent_rf
@@ -255,7 +255,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
     for d in det_b_ones:
         denom = denom + d
     if denom.is_zero():
-        raise DegenerateCollectionError("system denominator is identically zero")
+        raise ZeroDivisionError("system denominator is identically zero")
 
     q_tau = q_numerator / denom
     g_per = tuple(g / denom for g in g_numerators)
@@ -269,7 +269,7 @@ def cramer_solve(problem: RaceProblem) -> RaceSolution:
     ones1 = [_ONE] * m
     s = sum(fraction_det(replace_column(grid1, j, ones1)) for j in range(m))
     if s == 0:
-        raise DegenerateCollectionError(
+        raise ZeroDivisionError(
             "sum of unit-column determinants vanishes at alpha = 1")
     det_b1 = fraction_det(grid1)
     if has_initial:

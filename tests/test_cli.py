@@ -21,7 +21,6 @@ from patternrace import serialize as serialize_mod
 from patternrace import solver as solver_mod
 from patternrace.cli import main
 from patternrace.algebra import RationalFunc
-from patternrace.model import ValidationReport
 from patternrace.serialize import (
     MAX_DIGITS,
     parse_problem,
@@ -420,15 +419,6 @@ def test_martingale_no_completed_replicate_is_json(problem_file, capsys):
     assert out["truncated"] == 3
     assert out["empirical_mean"] is None
     assert out["std_error"] is None
-
-
-def test_race_degenerate_collection(tmp_path, capsys, monkeypatch):
-    # A repeated pattern gives a singular system; validation would reject
-    # it first, so it is bypassed to reach the solver's own guard.
-    monkeypatch.setattr(model_mod, "validate_race", lambda problem: ValidationReport())
-    path = write_problem(tmp_path, dict(THREE_WAY, patterns=["HH", "HH"]))
-    assert main(["race", path]) == 2
-    assert "degenerate" in capsys.readouterr().err
 
 
 def test_rational_str_past_int_str_digit_limit():

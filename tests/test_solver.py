@@ -1,20 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from patternrace import model as model_mod
 from patternrace.algebra import RationalFunc, ipoly_trim
 from patternrace.model import (
     InvalidRaceError,
     RaceProblem,
-    ValidationReport,
+    is_subpattern,
     make_alphabet,
 )
 from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
-    DegenerateCollectionError,
     InexactSeriesError,
     fraction_free_solve,
     power_series,
@@ -354,11 +353,13 @@ def test_solution_invariants_random():
 
 
 def test_fraction_free_solve_matches_cofactor_random():
-    # Sparse random systems with r = 1, 2 and 3 right-hand columns: zero
-    # pivots force row swaps, and some are singular.
+    # Sparse random systems with r = 1, 2 and 3 right-hand columns.  The
+    # elimination does not pivot: a system with a zero leading principal
+    # minor raises ZeroDivisionError, and every other one matches the
+    # cofactor determinants and Cramer numerators.
     for r in (1, 2, 3):
         rng = random.Random(70 + r)
-        swapped = singular = 0
+        solved = zero_minor = 0
         for _ in range(80):
             n = rng.randint(1, 4)
             a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
@@ -366,22 +367,22 @@ def test_fraction_free_solve_matches_cofactor_random():
                  for _ in range(n)]
             rf = [[RF(tuple(e)) for e in row] for row in a]
             matrix = [row[:n] for row in rf]
-            leading_zero = not a[0][0]
-            det, ys = fraction_free_solve(a)
-            expected = cofactor_det(matrix)
-            if expected.is_zero():
-                assert (det, ys) == ([], None)
-                singular += 1
+            if any(cofactor_det([row[:k] for row in matrix[:k]]).is_zero()
+                   for k in range(1, n + 1)):
+                with pytest.raises(ZeroDivisionError):
+                    fraction_free_solve(a)
+                zero_minor += 1
                 continue
-            swapped += leading_zero
-            assert RationalFunc(tuple(det)) == expected
+            det, ys = fraction_free_solve(a)
+            solved += 1
+            assert RationalFunc(tuple(det)) == cofactor_det(matrix)
             assert len(ys) == r
             for c, y in enumerate(ys):
                 rhs = [row[n + c] for row in rf]
                 for i in range(n):
                     assert RationalFunc(tuple(y[i])) == \
                         cofactor_det(replace_column(matrix, i, rhs))
-        assert swapped and singular, r
+        assert solved and zero_minor, r
 
 
 def _assert_matches_cramer(problem):
@@ -389,6 +390,41 @@ def _assert_matches_cramer(problem):
     ref = cramer_solve(problem)
     assert fast == ref
     assert solution_to_obj(problem, fast) == solution_to_obj(problem, ref)
+
+
+def _leading_minors_at_one(problem):
+    """Leading principal minors of A(1) of sizes 2..m+1, in Fractions from
+    the reference correlation grid.  Row 0 of A(1) is (0, 1, ..., 1) and
+    row i is (-1, B_i1(1), ..., B_im(1))."""
+    grid = correlation_matrix(problem).at(1)
+    m = len(grid)
+    a1 = [[Fraction(0)] + [Fraction(1)] * m] + [[Fraction(-1)] + row for row in grid]
+    return [fraction_det([row[:k] for row in a1[:k]]) for k in range(2, m + 2)]
+
+
+def test_race_system_leading_minors_nonzero():
+    # fraction_free_solve does not pivot, so solve_race needs every
+    # leading principal minor of A(alpha) to be nonzero.  The 1 x 1 minor
+    # is 1 - alpha; the (k+1)-minor is a row scale times det A of the
+    # sub-race B_1..B_k, which is not zero if its value at alpha = 1 is
+    # not.  A does not read the initial word, so none is drawn.
+    rng = random.Random(7)
+    problems = [random_problem(rng, with_initial=False, m=m)
+                for m in range(1, 7) for _ in range(20)]
+    for entries, length in (([("a", "1/2"), ("b", "1/2")], 3),
+                            ([("a", "1/3"), ("b", "2/3")], 3),
+                            ([("a", "1/2"), ("b", "1/3"), ("c", "1/6")], 2)):
+        alphabet = make_alphabet(entries)
+        words = [alphabet.pattern("".join(w)) for n in range(1, length + 1)
+                 for w in itertools.product("abc"[:alphabet.size], repeat=n)]
+        for m in (2, 3):
+            for pats in itertools.permutations(words, m):
+                if not any(is_subpattern(p, q) for p, q in
+                           itertools.permutations(pats, 2)):
+                    problems.append(RaceProblem(alphabet=alphabet, patterns=pats))
+    assert len(problems) == 2334
+    for problem in problems:
+        assert all(_leading_minors_at_one(problem)), problem
 
 
 def test_solve_race_equals_cramer_reference():
@@ -405,18 +441,6 @@ def test_solve_race_equals_cramer_initial_ending_with_pattern(fair_coin, three_w
         _assert_matches_cramer(RaceProblem(alphabet=fair_coin,
                                            patterns=three_way.patterns,
                                            initial=fair_coin.pattern(init)))
-
-
-def test_degenerate_collection_raises_on_both_paths(fair_coin, monkeypatch):
-    # A repeated pattern makes two rows of the system equal.  Validation
-    # rejects it, so it is bypassed to reach the solvers' own guard.
-    monkeypatch.setattr(model_mod, "validate_race", lambda problem: ValidationReport())
-    hh = fair_coin.pattern("HH")
-    for initial in (None, fair_coin.pattern("TH")):
-        prob = RaceProblem(alphabet=fair_coin, patterns=(hh, hh), initial=initial)
-        for solve in (solve_race, cramer_solve):
-            with pytest.raises(DegenerateCollectionError):
-                solve(prob)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ once more with --max-steps 3 and once with its --seed S negated as
 240 sampling jobs.  Each martingale job runs once more with --alpha 1/3,
 and each race_initial job writes a copy of its problem whose initial
 word is its first pattern, which starts absorbed, and runs `race COPY
---oracle --series 8` on it: 180 jobs, 2,072 jobs in all.  Each
+--oracle --series 8` on it: 180 jobs.  The first race_initial job of
+each seed also runs six jobs that must fail: `race COPY --oracle` on
+copies that repeat its first pattern, put a pattern inside another, put
+the first pattern inside the initial word before its last letter (each
+exit 2, with the validation report on stdout), or add an unknown symbol
+to the initial word (exit 3), and `simulate FILE --reps 0` and
+`martingale FILE --alpha 1` (exit 2): 18 jobs, 2,090 jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
@@ -58,6 +64,8 @@ TRUNCATED_STEPS = 3
 SECOND_ALPHA = "1/3"
 # --series of the race_initial copies that start absorbed.
 ABSORBED_SERIES = 8
+# A letter outside every benchmark alphabet.
+UNKNOWN_SYMBOL = "z"
 
 
 def bench_module(checkout: str, name: str):
@@ -80,6 +88,31 @@ def negated_seed(argv: list) -> list:
     return replaced(argv, "--seed", str(-1 - int(argv[argv.index("--seed") + 1])))
 
 
+def invalid_jobs(workloads, job) -> list:
+    """Jobs on the problem of a race_initial job that exit 2 or 3: copies
+    that repeat a pattern, put a pattern inside another, put one inside
+    the initial word before its last letter, or add an unknown symbol to
+    the initial word, and simulate and martingale with a flag out of
+    range."""
+    path, problem = job.argv[1], job.problem
+    pats = problem["patterns"]
+    copies = {
+        "repeated": dict(problem, patterns=[pats[0], pats[0]]),
+        "contained": dict(problem, patterns=[pats[0] + pats[1]] + pats[1:]),
+        "initial-inside": dict(problem, initial=pats[0] + pats[0][0]),
+        "unknown-symbol": dict(problem, initial=problem["initial"] + UNKNOWN_SYMBOL),
+    }
+    jobs = []
+    for label, copy in copies.items():
+        copy_path = f"{path[:-len('.json')]}-{label}.json"
+        workloads.write_problem(copy, copy_path)
+        jobs.append(workloads.Job("race", ["race", copy_path, "--oracle"], copy))
+    jobs.append(workloads.Job("simulate", ["simulate", path, "--reps", "0"], problem))
+    jobs.append(workloads.Job(
+        "martingale", ["martingale", path, "--alpha", "1", "--reps", "1"], problem))
+    return jobs
+
+
 def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
@@ -88,7 +121,8 @@ def make_jobs(directory: str) -> list:
     correlate jobs and `race --oracle --series 8` on its absorbed copy;
     for each simulate and martingale job its --max-steps 3 and
     negated-seed runs, and for each martingale job its --alpha 1/3 run;
-    then the two past-limit jobs."""
+    the invalid_jobs of each seed's first race_initial job; then the two
+    past-limit jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -96,7 +130,11 @@ def make_jobs(directory: str) -> list:
             sub = os.path.join(directory, f"{name}-seed{seed}")
             os.makedirs(sub)
             for index in range(PASSES):
-                for job in workloads.make_pass(name, seed, index, sub):
+                pass_jobs = workloads.make_pass(name, seed, index, sub)
+                if name == "race_initial" and index == 0:
+                    jobs.extend((name, seed, index, bad)
+                                for bad in invalid_jobs(workloads, pass_jobs[0]))
+                for job in pass_jobs:
                     jobs.append((name, seed, index, job))
                     if job.kind == "race":
                         at = job.argv.index("--series")

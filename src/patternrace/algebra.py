@@ -1,9 +1,10 @@
 """Exact arithmetic in the variable alpha.
 
-Dense integer polynomials (int lists) and canonical rational functions,
-the one field the package computes in.  A rational function is kept as
-a pair of integer polynomials in lowest terms, and printed from those
-integers.  Everything here is exact; no floats.
+Canonical rational functions, the one field the package computes in,
+and what canonicalisation needs of dense integer polynomials (int
+lists): clearing, trimming, exact division and gcd.  A rational
+function is kept as a pair of integer polynomials in lowest terms, and
+printed from those integers.  Everything here is exact; no floats.
 """
 
 from __future__ import annotations
@@ -30,24 +31,6 @@ def ipoly_trim(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def ipoly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def ipoly_sub(a: list, b: list) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return ipoly_trim(out)
 
 
 def ipoly_exact_div(a: list, b: list) -> list:

@@ -20,13 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .algebra import (
-    RationalFunc,
-    clear_denominators,
-    ipoly_exact_div,
-    ipoly_mul,
-    ipoly_sub,
-)
+from .algebra import RationalFunc, clear_denominators
 from .correlation import correlations
 from .model import RaceProblem
 
@@ -85,44 +79,114 @@ def _clear_row(row: Sequence[dict]):
     return clear_denominators(polys)
 
 
+# Sparse integer polynomials: lists of the nonzero (exponent, coefficient)
+# terms, ascending exponents.  The zero polynomial is the empty list.
+
+def _terms(p: list) -> list:
+    return [(e, c) for e, c in enumerate(p) if c]
+
+
+def _dense(terms: list) -> list:
+    p = [0] * (terms[-1][0] + 1 if terms else 0)
+    for e, c in terms:
+        p[e] = c
+    return p
+
+
+def _negated(terms: list) -> list:
+    return [(e, -c) for e, c in terms]
+
+
+def _add_product(buf: list, a: list, b: list) -> None:
+    """Add a * b into buf, a dense int list indexed by exponent that is
+    extended as needed, with one multiplication per pair of terms."""
+    if a and b:
+        top = a[-1][0] + b[-1][0] + 1
+        if top > len(buf):
+            buf.extend([0] * (top - len(buf)))
+        for ea, ca in a:
+            for eb, cb in b:
+                buf[ea + eb] += ca * cb
+
+
+def _exact_quotient(buf: list, divisor: list) -> list:
+    """The terms of buf / divisor, consuming buf (a dense int list).
+
+    Raises ZeroDivisionError for a zero divisor and ArithmeticError when
+    the quotient is not in Z[alpha]."""
+    if not divisor:
+        raise ZeroDivisionError("integer polynomial division by zero")
+    top, lead = divisor[-1]
+    low = divisor[:-1]
+    q = []
+    for i in range(len(buf) - 1, top - 1, -1):
+        c = buf[i]
+        if c:
+            f, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact integer polynomial division")
+            s = i - top
+            q.append((s, f))
+            for e, x in low:
+                buf[s + e] -= f * x
+    if any(buf[:top]):
+        raise ArithmeticError("inexact integer polynomial division")
+    q.reverse()
+    return q
+
+
 def fraction_free_solve(a: List[list]):
-    """Solve an n x (n+r) augmented system over Z[alpha], in place.
+    """Solve an n x (n+r) augmented system over Z[alpha].
 
     Entries are integer polynomials (int lists, ascending exponents); the
     last r = len(a[0]) - n columns are right-hand sides.  Returns
     (det, ys) with det = det A and, for each right-hand column c,
-    ys[c][i] = det * x_i, the Cramer numerators, all exact.  Bareiss
-    elimination without pivoting (Bareiss 1968): after step k every
-    a[i][j] (i, j > k) is a (k+2)-minor, so dividing by the previous
-    pivot is exact; back-substitution keeps each y in Z[alpha] the same
-    way.  Every leading principal minor of A must be nonzero, as in a
-    race system (see solve_race); for r >= 1 a zero pivot raises
-    ZeroDivisionError at its next exact division, never a wrong answer.
+    ys[c][i] = det * x_i, the Cramer numerators, all exact and trimmed;
+    a is left unchanged.  Bareiss elimination without pivoting (Bareiss
+    1968): after step k every a[i][j] (i, j > k) is a (k+2)-minor, so
+    dividing by the previous pivot is exact; back-substitution keeps
+    each y in Z[alpha] the same way.  Every leading principal minor of A
+    must be nonzero, as in a race system (see solve_race); for r >= 1 a
+    zero pivot raises ZeroDivisionError at its next exact division,
+    never a wrong answer.
+
+    The entries of a race system are mostly zero coefficients (a
+    constant plus one term per overlap), so the elimination runs on
+    their nonzero terms: each update (pivot * a[i][j] - f * a[k][j]) /
+    prev adds both products into one buffer and divides it by prev's
+    nonzero terms.
     """
     n = len(a)
     width = len(a[0])
-    prev = [1]
-    for k, pivot_row in enumerate(a[:-1]):
+    t = [[_terms(p) for p in row] for row in a]
+    prev = [(0, 1)]
+    for k, pivot_row in enumerate(t[:-1]):
         pivot = pivot_row[k]
-        for row in a[k + 1:]:
-            f = row[k]
+        for row in t[k + 1:]:
+            f = _negated(row[k])
             for j in range(k + 1, width):
-                row[j] = ipoly_exact_div(
-                    ipoly_sub(ipoly_mul(pivot, row[j]), ipoly_mul(f, pivot_row[j])),
-                    prev)
+                buf = []
+                _add_product(buf, pivot, row[j])
+                _add_product(buf, f, pivot_row[j])
+                row[j] = _exact_quotient(buf, prev)
             row[k] = []
         prev = pivot
-    det = a[n - 1][n - 1]
+    det = t[n - 1][n - 1]
+    minus_det = _negated(det)
     ys = []
     for c in range(n, width):
+        # y_i = (det * a[i][c] - sum_j a[i][j] * y_j) / a[i][i], with
+        # numerator and divisor both negated.
         y: List[list] = [[]] * n
         for i in range(n - 1, -1, -1):
-            acc = ipoly_mul(det, a[i][c])
+            row = t[i]
+            buf = []
+            _add_product(buf, minus_det, row[c])
             for j in range(i + 1, n):
-                acc = ipoly_sub(acc, ipoly_mul(a[i][j], y[j]))
-            y[i] = ipoly_exact_div(acc, a[i][i])
-        ys.append(y)
-    return det, ys
+                _add_product(buf, row[j], y[j])
+            y[i] = _exact_quotient(buf, _negated(row[i]))
+        ys.append([_dense(terms) for terms in y])
+    return _dense(det), ys
 
 
 def solve_race(problem: RaceProblem) -> RaceSolution:

@@ -17,16 +17,12 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence
 
-from patternrace.algebra import (
-    ipoly_exact_div,
-    ipoly_mul,
-    ipoly_sub,
-)
+from patternrace.algebra import ipoly_exact_div
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import RaceProblem
 from patternrace.solver import RaceSolution
 
-from rf_field import RF
+from rf_field import RF, ipoly_mul, ipoly_sub
 from single_reference import ONE_MINUS_ALPHA, laurent_rf
 
 _ZERO = Fraction(0)
@@ -161,13 +157,15 @@ def det_laurent(rows: Sequence[Sequence[dict]]) -> RF:
         imat.append(irow)
         scale *= l
         shift += d
-    det = _bareiss(imat)
+    det = bareiss_det(imat)
     if not det:
         return RF.zero()
     return RF(det, [0] * shift + [scale])
 
 
-def _bareiss(mat: List[List[List[int]]]) -> List[int]:
+def bareiss_det(mat: List[List[List[int]]]) -> List[int]:
+    """Determinant of a square matrix of integer polynomials (int lists),
+    by dense Bareiss elimination with row swaps; [] when it is zero."""
     n = len(mat)
     a = [[list(e) for e in row] for row in mat]
     sign = 1

@@ -10,13 +10,36 @@ function.  An int or Fraction operand is read as a constant.
 monic_num and monic_den give the Fraction coefficients of a
 RationalFunc with its denominator made monic, the values the program
 prints: the reference oracles and the identity tests read them.
+
+ipoly_mul and ipoly_sub are the dense products and differences of int
+lists (ascending exponents) under those operators; the dense reference
+elimination in cramer_reference uses them too, so it shares no
+arithmetic with the program's sparse elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from patternrace.algebra import RationalFunc, ipoly_mul, ipoly_sub
+from patternrace.algebra import RationalFunc, ipoly_trim
+
+
+def ipoly_mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def ipoly_sub(a, b) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return ipoly_trim(out)
 
 
 def monic_num(f: RationalFunc) -> tuple:

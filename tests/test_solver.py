@@ -15,6 +15,7 @@ from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
     InexactSeriesError,
+    _exact_quotient,
     fraction_free_solve,
     power_series,
     series,
@@ -25,6 +26,7 @@ import series_reference
 from series_reference import per_pattern, tail_mass, totals
 from conftest import random_problem
 from cramer_reference import (
+    bareiss_det,
     build_system,
     correlation_matrix,
     cramer_solve,
@@ -352,37 +354,84 @@ def test_solution_invariants_random():
         assert sol.expected_tau == sol.q_tau(1)
 
 
+def _check_fraction_free_solve(a, n, det_of):
+    """Runs fraction_free_solve on the n x (n + r) system a.  The
+    elimination does not pivot: if det_of, a reference determinant as a
+    RationalFunc, is zero on a leading principal minor, the solve must
+    raise ZeroDivisionError; otherwise det and every Cramer numerator
+    must equal det_of of A and of A with a column replaced.  Returns
+    whether the system was solved."""
+    matrix = [row[:n] for row in a]
+    if any(not det_of([row[:k] for row in matrix[:k]]).inum for k in range(1, n + 1)):
+        with pytest.raises(ZeroDivisionError):
+            fraction_free_solve(a)
+        return False
+    det, ys = fraction_free_solve(a)
+    assert RationalFunc(tuple(det)) == det_of(matrix)
+    assert len(ys) == len(a[0]) - n
+    for c, y in enumerate(ys):
+        rhs = [row[n + c] for row in a]
+        for i in range(n):
+            assert not y[i] or y[i][-1], "untrimmed"
+            assert RationalFunc(tuple(y[i])) == det_of(replace_column(matrix, i, rhs))
+    return True
+
+
+def _sparse_poly(rng):
+    """0-3 monomials with exponents up to 40 and coefficients up to 10**6
+    in size."""
+    p = [0] * 41
+    for _ in range(rng.randint(0, 3)):
+        p[rng.randint(0, 40)] = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+    return ipoly_trim(p)
+
+
 def test_fraction_free_solve_matches_cofactor_random():
-    # Sparse random systems with r = 1, 2 and 3 right-hand columns.  The
-    # elimination does not pivot: a system with a zero leading principal
-    # minor raises ZeroDivisionError, and every other one matches the
-    # cofactor determinants and Cramer numerators.
+    # Random systems with r = 1, 2 and 3 right-hand columns: entries of
+    # degree <= 2 checked against cofactor expansion over RF, and sparse
+    # high-degree entries, as in a race system, against the dense
+    # reference elimination.  Both kinds have systems with a zero
+    # leading principal minor.
+    def cofactor(m):
+        return cofactor_det([[RF(tuple(e)) for e in row] for row in m])
+
+    def dense(m):
+        return RationalFunc(tuple(bareiss_det(m)))
+
     for r in (1, 2, 3):
         rng = random.Random(70 + r)
-        solved = zero_minor = 0
-        for _ in range(80):
-            n = rng.randint(1, 4)
-            a = [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-                  if rng.random() < 0.6 else [] for _ in range(n + r)]
-                 for _ in range(n)]
-            rf = [[RF(tuple(e)) for e in row] for row in a]
-            matrix = [row[:n] for row in rf]
-            if any(cofactor_det([row[:k] for row in matrix[:k]]).is_zero()
-                   for k in range(1, n + 1)):
-                with pytest.raises(ZeroDivisionError):
-                    fraction_free_solve(a)
-                zero_minor += 1
-                continue
-            det, ys = fraction_free_solve(a)
-            solved += 1
-            assert RationalFunc(tuple(det)) == cofactor_det(matrix)
-            assert len(ys) == r
-            for c, y in enumerate(ys):
-                rhs = [row[n + c] for row in rf]
-                for i in range(n):
-                    assert RationalFunc(tuple(y[i])) == \
-                        cofactor_det(replace_column(matrix, i, rhs))
-        assert solved and zero_minor, r
+        small = [_check_fraction_free_solve(
+                     [[ipoly_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                       if rng.random() < 0.6 else [] for _ in range(n + r)]
+                      for _ in range(n)], n, cofactor)
+                 for n in (rng.randint(1, 4) for _ in range(80))]
+        sparse = [_check_fraction_free_solve(
+                      [[_sparse_poly(rng) for _ in range(n + r)] for _ in range(n)],
+                      n, dense)
+                  for n in (rng.randint(1, 5) for _ in range(30))]
+        for outcomes in (small, sparse):
+            assert any(outcomes) and not all(outcomes), r
+
+
+def test_exact_quotient_of_the_kernel():
+    # (3 + 2a^5)(a^2 - 7a^40) by a^2 - 7a^40, as the dense buffer the
+    # elimination accumulates and the divisor's nonzero terms.
+    divisor = [(2, 1), (40, -7)]
+    buf = [0] * 46
+    for e, c in ((2, 3), (7, 2), (40, -21), (45, -14)):
+        buf[e] = c
+    assert _exact_quotient(list(buf), divisor) == [(0, 3), (5, 2)]
+    assert _exact_quotient([], divisor) == []
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(buf[:-1] + [-13], divisor)  # leading term not divisible
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1] + buf[1:], divisor)  # nonzero remainder
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([5], [(1, 1)])  # dividend of lower degree
+    with pytest.raises(ZeroDivisionError):
+        _exact_quotient(list(buf), [])
+    with pytest.raises(ZeroDivisionError):
+        _exact_quotient([], [])
 
 
 def _assert_matches_cramer(problem):

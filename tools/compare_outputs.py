@@ -29,23 +29,32 @@ copies that repeat its first pattern, put a pattern inside another, put
 the first pattern inside the initial word before its last letter (each
 exit 2, with the validation report on stdout), or add an unknown symbol
 to the initial word (exit 3), and `simulate FILE --reps 0` and
-`martingale FILE --alpha 1` (exit 2): 18 jobs, 2,090 jobs in all.  Each
+`martingale FILE --alpha 1` (exit 2): 18 jobs.  Two races past the
+benchmark's sizes, whose systems are mostly zero coefficients, run as
+`race FILE --oracle` and `race FILE --series 64 --oracle`: a 16 x 12
+coin race and a 12 x 24 race on letters 1/6, 1/3, 1/2, each with a
+5-letter initial word, 4 jobs, 2,094 jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
-as the benchmark does.  The two outputs are then compared job by job.
-Exit status 0 means every job printed the same stdout with the
-same exit code in both checkouts, and no job exited 1 in either: the CLI
+as the benchmark does; the worker captures what run_job passes on to
+stderr, which is the message of every job that exits nonzero.  The two
+outputs are then compared job by job.
+Exit status 0 means every job printed the same stdout and stderr with
+the same exit code in both checkouts, and no job exited 1 in either: the CLI
 never returns 1, so that code is an uncaught exception, and a crash on
 both sides would otherwise pass as a match.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tempfile
@@ -66,6 +75,12 @@ SECOND_ALPHA = "1/3"
 ABSORBED_SERIES = 8
 # A letter outside every benchmark alphabet.
 UNKNOWN_SYMBOL = "z"
+# Races past the benchmark's sizes, whose systems are mostly zero
+# coefficients: (m, pattern length, letter weights), each with a random
+# 5-letter initial word, drawn from random.Random(f"large:{m}x{length}").
+LARGE_RACES = ((16, 12, (1, 1)), (12, 24, (1, 2, 3)))
+LARGE_INITIAL = 5
+LARGE_SERIES = 64
 
 
 def bench_module(checkout: str, name: str):
@@ -113,6 +128,24 @@ def invalid_jobs(workloads, job) -> list:
     return jobs
 
 
+def large_jobs(workloads, directory: str) -> list:
+    """`race FILE --oracle` and `race FILE --series 64 --oracle` on each
+    of LARGE_RACES."""
+    jobs = []
+    for m, length, weights in LARGE_RACES:
+        rng = random.Random(f"large:{m}x{length}")
+        problem = workloads.random_problem(rng, m, length, length, weights,
+                                           with_initial=False)
+        symbols = list(problem["weights"])
+        problem["initial"] = "".join(rng.choice(symbols) for _ in range(LARGE_INITIAL))
+        path = os.path.join(directory, f"large-{m}x{length}.json")
+        workloads.write_problem(problem, path)
+        for series in ([], ["--series", str(LARGE_SERIES)]):
+            jobs.append(workloads.Job("race", ["race", path, "--oracle"] + series, problem,
+                                      horizon=LARGE_SERIES if series else 0))
+    return jobs
+
+
 def make_jobs(directory: str) -> list:
     """(workload, seed, pass, job) for every benchmark job, and for each
     race job the same job once more without --series N, so that the
@@ -122,7 +155,7 @@ def make_jobs(directory: str) -> list:
     for each simulate and martingale job its --max-steps 3 and
     negated-seed runs, and for each martingale job its --alpha 1/3 run;
     the invalid_jobs of each seed's first race_initial job; then the two
-    past-limit jobs."""
+    past-limit jobs and the large_jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -171,6 +204,7 @@ def make_jobs(directory: str) -> list:
         argv = ["race", path, "--series", str(PAST_LIMIT_HORIZON)] + oracle
         jobs.append(("past_limit", 0, 0, workloads.Job("race", argv, PAST_LIMIT,
                                                        horizon=PAST_LIMIT_HORIZON)))
+    jobs.extend(("large", 0, 0, job) for job in large_jobs(workloads, directory))
     return jobs
 
 
@@ -213,15 +247,17 @@ def main(parent: str, change: str) -> int:
         for number, ((name, seed, index, job), rc_a, rc_b) in enumerate(
                 zip(jobs, *results)):
             out_a, out_b = (read(os.path.join(d, f"{number}.out")) for d in outdirs)
+            err_a, err_b = (read(os.path.join(d, f"{number}.err")) for d in outdirs)
             codes[rc_a] = codes.get(rc_a, 0) + 1
             if 1 in (rc_a, rc_b):
                 crashed += 1
                 print(f"CRASH {name} seed {seed} pass {index}: "
                       f"{' '.join(job.argv)}: exit {rc_a} and {rc_b}")
-            if rc_a != rc_b or out_a != out_b:
+            if rc_a != rc_b or out_a != out_b or err_a != err_b:
                 differ += 1
                 detail = (f"exit {rc_a} != {rc_b}" if rc_a != rc_b
-                          else first_difference(out_a, out_b))
+                          else first_difference(out_a, out_b) if out_a != out_b
+                          else "stderr " + first_difference(err_a, err_b))
                 print(f"DIFFER {name} seed {seed} pass {index}: "
                       f"{' '.join(job.argv)}: {detail}")
     print(json.dumps({"jobs": len(jobs), "differ": differ, "crashed": crashed,
@@ -231,14 +267,21 @@ def main(parent: str, change: str) -> int:
 
 def worker(checkout: str, directory: str) -> None:
     """Runs each pickled job with the checkout's bench/run.py, writes its
-    stdout to directory/<job number>.out and prints the exit codes."""
+    stdout to directory/<job number>.out and what it wrote to stderr to
+    <job number>.err, and prints the exit codes.  run_job passes on the
+    stderr of a job that exits nonzero (its last 2,000 characters) and
+    drops that of a job that exits 0."""
     run = bench_module(checkout, "run")
     cli = run.load_program()
     codes = []
     for number, job in enumerate(pickle.loads(sys.stdin.buffer.read())):
-        rc, out = run.run_job(cli, job)
-        with open(os.path.join(directory, f"{number}.out"), "w", encoding="utf-8") as fh:
-            fh.write(out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run.run_job(cli, job)
+        for suffix, text in ((".out", out), (".err", err.getvalue())):
+            with open(os.path.join(directory, f"{number}{suffix}"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
         codes.append(rc)
     json.dump(codes, sys.stdout)
 

@@ -1,17 +1,19 @@
 """Exact arithmetic in the variable alpha.
 
 Canonical rational functions, the one field the package computes in,
-and what canonicalisation needs of dense integer polynomials (int
-lists): clearing, trimming, exact division and gcd.  A rational
-function is kept as a pair of integer polynomials in lowest terms, and
-printed from those integers.  Everything here is exact; no floats.
+and the integer polynomials they are built from, in two forms.  Dense
+int lists are what a RationalFunc stores and prints: clearing, trimming
+and gcd.  Lists of nonzero terms are what the race system is solved
+on: fraction_free_solve, the package's one elimination, and
+_exact_quotient, its exact division, which RationalFunc also uses to
+divide by a gcd.  Everything here is exact; no floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -31,26 +33,6 @@ def ipoly_trim(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def ipoly_exact_div(a: list, b: list) -> list:
-    if not b:
-        raise ZeroDivisionError("integer polynomial division by zero")
-    rem = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    lb = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1]
-        if c:
-            f, r = divmod(c, lb)
-            if r:
-                raise ArithmeticError("inexact integer polynomial division")
-            q[i] = f
-            for j, bc in enumerate(b):
-                rem[i + j] -= f * bc
-    if any(rem):
-        raise ArithmeticError("inexact integer polynomial division")
-    return ipoly_trim(q)
 
 
 # Polynomial gcd via a primitive pseudo-remainder sequence; plain Euclid
@@ -136,6 +118,116 @@ def coprime_mod_p(a: list, b: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Sparse polynomials over Z: lists of the nonzero (exponent, coefficient)
+# terms, ascending exponents.  The zero polynomial is the empty list.
+
+def _terms(p: list) -> list:
+    return [(e, c) for e, c in enumerate(p) if c]
+
+
+def _dense(terms: list) -> list:
+    p = [0] * (terms[-1][0] + 1 if terms else 0)
+    for e, c in terms:
+        p[e] = c
+    return p
+
+
+def _negated(terms: list) -> list:
+    return [(e, -c) for e, c in terms]
+
+
+def _add_product(buf: list, a: list, b: list) -> None:
+    """Add a * b into buf, a dense int list indexed by exponent that is
+    extended as needed, with one multiplication per pair of terms."""
+    if a and b:
+        top = a[-1][0] + b[-1][0] + 1
+        if top > len(buf):
+            buf.extend([0] * (top - len(buf)))
+        for ea, ca in a:
+            for eb, cb in b:
+                buf[ea + eb] += ca * cb
+
+
+def _exact_quotient(buf: list, divisor: list) -> list:
+    """The terms of buf / divisor, consuming buf (a dense int list).
+
+    Raises ZeroDivisionError for a zero divisor and ArithmeticError when
+    the quotient is not in Z[alpha]."""
+    if not divisor:
+        raise ZeroDivisionError("integer polynomial division by zero")
+    top, lead = divisor[-1]
+    low = divisor[:-1]
+    q = []
+    for i in range(len(buf) - 1, top - 1, -1):
+        c = buf[i]
+        if c:
+            f, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact integer polynomial division")
+            s = i - top
+            q.append((s, f))
+            for e, x in low:
+                buf[s + e] -= f * x
+    if any(buf[:top]):
+        raise ArithmeticError("inexact integer polynomial division")
+    q.reverse()
+    return q
+
+
+def fraction_free_solve(a: List[list]):
+    """Solve an n x (n+r) augmented system over Z[alpha].
+
+    Entries are sparse integer polynomials (lists of nonzero terms); the
+    last r = len(a[0]) - n columns are right-hand sides.  Returns
+    (det, ys) with det = det A and, for each right-hand column c,
+    ys[c][i] = det * x_i, the Cramer numerators, all exact and as
+    trimmed dense int lists; a is left unchanged.  Bareiss elimination
+    without pivoting (Bareiss 1968): after step k every a[i][j]
+    (i, j > k) is a (k+2)-minor, so dividing by the previous pivot is
+    exact; back-substitution keeps each y in Z[alpha] the same way.
+    Every leading principal minor of A must be nonzero, as in a race
+    system (see solver.solve_race); for r >= 1 a zero pivot raises
+    ZeroDivisionError at its next exact division, never a wrong answer.
+
+    The entries of a race system are mostly zero coefficients (a
+    constant plus one term per overlap), hence the sparse form: each
+    update (pivot * a[i][j] - f * a[k][j]) / prev adds both products
+    into one buffer and divides it by prev's nonzero terms.
+    """
+    n = len(a)
+    width = len(a[0])
+    t = [list(row) for row in a]
+    prev = [(0, 1)]
+    for k, pivot_row in enumerate(t[:-1]):
+        pivot = pivot_row[k]
+        for row in t[k + 1:]:
+            f = _negated(row[k])
+            for j in range(k + 1, width):
+                buf = []
+                _add_product(buf, pivot, row[j])
+                _add_product(buf, f, pivot_row[j])
+                row[j] = _exact_quotient(buf, prev)
+            row[k] = []
+        prev = pivot
+    det = t[n - 1][n - 1]
+    minus_det = _negated(det)
+    ys = []
+    for c in range(n, width):
+        # y_i = (det * a[i][c] - sum_j a[i][j] * y_j) / a[i][i], with
+        # numerator and divisor both negated.
+        y: List[list] = [[]] * n
+        for i in range(n - 1, -1, -1):
+            row = t[i]
+            buf = []
+            _add_product(buf, minus_det, row[c])
+            for j in range(i + 1, n):
+                _add_product(buf, row[j], y[j])
+            y[i] = _exact_quotient(buf, _negated(row[i]))
+        ys.append([_dense(terms) for terms in y])
+    return _dense(det), ys
+
+
+# ---------------------------------------------------------------------------
 
 def _scaled_value(coeffs: tuple, p: int, q: int, k: int) -> int:
     """q**k * P(p/q) for the polynomial P of degree <= k with these
@@ -175,8 +267,9 @@ class RationalFunc:
         elif not coprime_mod_p(num, den):
             g = poly_gcd(num, den)
             if len(g) > 1:
-                num = ipoly_exact_div(num, g)
-                den = ipoly_exact_div(den, g)
+                g = _terms(g)
+                num = _dense(_exact_quotient(num, g))
+                den = _dense(_exact_quotient(den, g))
         c = gcd(*num, *den)
         if den[-1] < 0:
             c = -c

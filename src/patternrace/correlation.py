@@ -45,9 +45,10 @@ def correlations(words: Iterable[Optional[Pattern]], b: Pattern,
     The longest overlap k of a word is the KMP state reached by reading
     its last len(b) letters from the start state, since no longer
     overlap exists; the other overlaps are the borders of b[:k], found
-    by following fail from k.
+    by following fail from k.  b and the words must use only letters of
+    alphabet, as those of a validated RaceProblem do; they are not
+    checked here.
     """
-    b.check_alphabet(alphabet)
     letters = b.letters
     n = len(letters)
     probs = alphabet.probs
@@ -58,7 +59,6 @@ def correlations(words: Iterable[Optional[Pattern]], b: Pattern,
         if a is None:
             out.append({})
             continue
-        a.check_alphabet(alphabet)
         # From state 0, n letters reach state n only on the last one, so
         # no full match needs a fall-back mid-word.
         k = 0
@@ -76,7 +76,12 @@ def correlations(words: Iterable[Optional[Pattern]], b: Pattern,
 
 
 def correlation(a: Optional[Pattern], b: Pattern, alphabet: Alphabet) -> dict:
-    """Term map {-k: 1/P(b[:k])} of a against b; empty when a is empty."""
+    """Term map {-k: 1/P(b[:k])} of a against b; empty when a is empty.
+
+    Raises PatternError when a or b has a letter outside alphabet."""
+    b.check_alphabet(alphabet)
+    if a is not None:
+        a.check_alphabet(alphabet)
     return correlations((a,), b, alphabet)[0]
 
 

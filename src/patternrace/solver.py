@@ -1,11 +1,10 @@
 """Closed-form race engine.
 
-The competing-pattern linear system solved exactly by one fraction-free
-elimination without pivoting over Z[alpha], and exact power-series
-extraction of waiting-time distributions.  A single pattern is the race
-with m = 1.  fraction_free_solve is the package's one elimination
-kernel; the automaton DP certifies its answers without sharing this
-module's code.
+The competing-pattern linear system, built over Z[alpha] from the
+correlation term maps and solved exactly by algebra.fraction_free_solve,
+and exact power-series extraction of waiting-time distributions.  A
+single pattern is the race with m = 1.  The automaton DP certifies the
+answers without sharing this module's code or algebra's elimination.
 
 With d the lcm of the letter-probability denominators,
 d**n * P(tau = n, k wins) is an integer, so the series recurrence runs
@@ -17,24 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra import RationalFunc, clear_denominators
+from .algebra import RationalFunc, fraction_free_solve
 from .correlation import correlations
 from .model import RaceProblem
 
 
 class SolverError(RuntimeError):
     pass
-
-
-class ZeroConstantDenominatorError(SolverError):
-    """Series extraction hit a denominator with zero constant term.
-
-    This signals an internal bug: the generating function must be finite
-    at alpha = 0.
-    """
 
 
 class InexactSeriesError(SolverError):
@@ -64,129 +56,15 @@ class RaceSolution:
     win_denominator: Fraction
 
 
-def _clear_row(row: Sequence[dict]):
+def _clear_row(row: Sequence[dict]) -> tuple:
     """Scale a row of term maps {exponent: coefficient} by alpha**d and
     the lcm l of its coefficient denominators, so that every entry is an
-    integer polynomial (an int list, ascending exponents).  Returns the
+    integer polynomial, as the list of its nonzero terms.  Returns the
     integer row and l."""
     d = max([0] + [-e for terms in row for e in terms])
-    polys = []
-    for terms in row:
-        p = [0] * (max(terms) + d + 1 if terms else 0)
-        for e, c in terms.items():
-            p[e + d] = c
-        polys.append(p)
-    return clear_denominators(polys)
-
-
-# Sparse integer polynomials: lists of the nonzero (exponent, coefficient)
-# terms, ascending exponents.  The zero polynomial is the empty list.
-
-def _terms(p: list) -> list:
-    return [(e, c) for e, c in enumerate(p) if c]
-
-
-def _dense(terms: list) -> list:
-    p = [0] * (terms[-1][0] + 1 if terms else 0)
-    for e, c in terms:
-        p[e] = c
-    return p
-
-
-def _negated(terms: list) -> list:
-    return [(e, -c) for e, c in terms]
-
-
-def _add_product(buf: list, a: list, b: list) -> None:
-    """Add a * b into buf, a dense int list indexed by exponent that is
-    extended as needed, with one multiplication per pair of terms."""
-    if a and b:
-        top = a[-1][0] + b[-1][0] + 1
-        if top > len(buf):
-            buf.extend([0] * (top - len(buf)))
-        for ea, ca in a:
-            for eb, cb in b:
-                buf[ea + eb] += ca * cb
-
-
-def _exact_quotient(buf: list, divisor: list) -> list:
-    """The terms of buf / divisor, consuming buf (a dense int list).
-
-    Raises ZeroDivisionError for a zero divisor and ArithmeticError when
-    the quotient is not in Z[alpha]."""
-    if not divisor:
-        raise ZeroDivisionError("integer polynomial division by zero")
-    top, lead = divisor[-1]
-    low = divisor[:-1]
-    q = []
-    for i in range(len(buf) - 1, top - 1, -1):
-        c = buf[i]
-        if c:
-            f, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("inexact integer polynomial division")
-            s = i - top
-            q.append((s, f))
-            for e, x in low:
-                buf[s + e] -= f * x
-    if any(buf[:top]):
-        raise ArithmeticError("inexact integer polynomial division")
-    q.reverse()
-    return q
-
-
-def fraction_free_solve(a: List[list]):
-    """Solve an n x (n+r) augmented system over Z[alpha].
-
-    Entries are integer polynomials (int lists, ascending exponents); the
-    last r = len(a[0]) - n columns are right-hand sides.  Returns
-    (det, ys) with det = det A and, for each right-hand column c,
-    ys[c][i] = det * x_i, the Cramer numerators, all exact and trimmed;
-    a is left unchanged.  Bareiss elimination without pivoting (Bareiss
-    1968): after step k every a[i][j] (i, j > k) is a (k+2)-minor, so
-    dividing by the previous pivot is exact; back-substitution keeps
-    each y in Z[alpha] the same way.  Every leading principal minor of A
-    must be nonzero, as in a race system (see solve_race); for r >= 1 a
-    zero pivot raises ZeroDivisionError at its next exact division,
-    never a wrong answer.
-
-    The entries of a race system are mostly zero coefficients (a
-    constant plus one term per overlap), so the elimination runs on
-    their nonzero terms: each update (pivot * a[i][j] - f * a[k][j]) /
-    prev adds both products into one buffer and divides it by prev's
-    nonzero terms.
-    """
-    n = len(a)
-    width = len(a[0])
-    t = [[_terms(p) for p in row] for row in a]
-    prev = [(0, 1)]
-    for k, pivot_row in enumerate(t[:-1]):
-        pivot = pivot_row[k]
-        for row in t[k + 1:]:
-            f = _negated(row[k])
-            for j in range(k + 1, width):
-                buf = []
-                _add_product(buf, pivot, row[j])
-                _add_product(buf, f, pivot_row[j])
-                row[j] = _exact_quotient(buf, prev)
-            row[k] = []
-        prev = pivot
-    det = t[n - 1][n - 1]
-    minus_det = _negated(det)
-    ys = []
-    for c in range(n, width):
-        # y_i = (det * a[i][c] - sum_j a[i][j] * y_j) / a[i][i], with
-        # numerator and divisor both negated.
-        y: List[list] = [[]] * n
-        for i in range(n - 1, -1, -1):
-            row = t[i]
-            buf = []
-            _add_product(buf, minus_det, row[c])
-            for j in range(i + 1, n):
-                _add_product(buf, row[j], y[j])
-            y[i] = _exact_quotient(buf, _negated(row[i]))
-        ys.append([_dense(terms) for terms in y])
-    return _dense(det), ys
+    l = lcm(*(c.denominator for terms in row for c in terms.values()))
+    return [[(e + d, c.numerator * (l // c.denominator))
+             for e, c in sorted(terms.items())] for terms in row], l
 
 
 def solve_race(problem: RaceProblem) -> RaceSolution:
@@ -202,7 +80,7 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     the valid sub-race B_1..B_k, and mutual-containment makes det A(1) != 0.
     """
     alphabet, pats = problem.alphabet, problem.patterns
-    a = [[[1, -1]] + [[1]] * len(pats) + [[1]]]
+    a = [[[(0, 1), (1, -1)]] + [[(0, 1)]] * (len(pats) + 1)]
     scale = 1
     minus_one = {0: -1}
     words = (*pats, problem.initial)
@@ -245,9 +123,6 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
     """
     num, den = rf.inum, rf.iden
     e0 = den[0]
-    if e0 == 0:
-        raise ZeroConstantDenominatorError(
-            "denominator has zero constant term; no Taylor expansion at 0")
     # E_j * d**j for j = 1, 2, ..., nearest term first.
     den = [c * d ** j for j, c in enumerate(den[1:], 1)]
     out: list = []

@@ -17,12 +17,11 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence
 
-from patternrace.algebra import ipoly_exact_div
 from patternrace.correlation import correlation, evaluate
 from patternrace.model import RaceProblem
 from patternrace.solver import RaceSolution
 
-from rf_field import RF, ipoly_mul, ipoly_sub
+from rf_field import RF, ipoly_exact_div, ipoly_mul, ipoly_sub
 from single_reference import ONE_MINUS_ALPHA, laurent_rf
 
 _ZERO = Fraction(0)

@@ -12,9 +12,10 @@ RationalFunc with its denominator made monic, the values the program
 prints: the reference oracles and the identity tests read them.
 
 ipoly_mul and ipoly_sub are the dense products and differences of int
-lists (ascending exponents) under those operators; the dense reference
-elimination in cramer_reference uses them too, so it shares no
-arithmetic with the program's sparse elimination.
+lists (ascending exponents) under those operators, and ipoly_exact_div
+their dense exact division.  The dense reference elimination in
+cramer_reference uses all three, so it shares no arithmetic with the
+program's sparse elimination; the gcd tests divide with it too.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ def ipoly_sub(a, b) -> list:
     for i, c in enumerate(b):
         out[i] -= c
     return ipoly_trim(out)
+
+
+def ipoly_exact_div(a, b) -> list:
+    if not b:
+        raise ZeroDivisionError("integer polynomial division by zero")
+    rem = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    lb = b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1]
+        if c:
+            f, r = divmod(c, lb)
+            if r:
+                raise ArithmeticError("inexact integer polynomial division")
+            q[i] = f
+            for j, bc in enumerate(b):
+                rem[i + j] -= f * bc
+    if any(rem):
+        raise ArithmeticError("inexact integer polynomial division")
+    return ipoly_trim(q)
 
 
 def monic_num(f: RationalFunc) -> tuple:

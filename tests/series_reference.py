@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from patternrace.algebra import RationalFunc
-from patternrace.solver import RaceSolution, SeriesTable, ZeroConstantDenominatorError
+from patternrace.solver import RaceSolution, SeriesTable
 
 from rf_field import monic_den, monic_num
 
@@ -24,7 +24,7 @@ def power_series(rf: RationalFunc, n: int) -> list:
     """First n+1 Taylor coefficients of rf around alpha = 0."""
     num, den = monic_num(rf), monic_den(rf)
     if den[0] == 0:
-        raise ZeroConstantDenominatorError(
+        raise ZeroDivisionError(
             "denominator has zero constant term; no Taylor expansion at 0")
     d0 = den[0]
     out: list = []

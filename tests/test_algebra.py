@@ -10,12 +10,11 @@ from patternrace.algebra import (
     RationalFunc,
     clear_denominators,
     coprime_mod_p,
-    ipoly_exact_div,
     ipoly_trim,
     poly_gcd,
 )
 
-from rf_field import RF, ipoly_mul, monic_den, monic_num
+from rf_field import RF, ipoly_exact_div, ipoly_mul, monic_den, monic_num
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12,

@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patternrace.correlation import correlation, correlations, evaluate
-from patternrace.model import Alphabet, Pattern, RaceProblem, make_alphabet, pattern_prob
+from patternrace.model import (
+    Alphabet,
+    Pattern,
+    PatternError,
+    RaceProblem,
+    make_alphabet,
+    pattern_prob,
+)
 
 from conftest import random_problem
 from cramer_reference import correlation_matrix, initial_correlation_vector
@@ -19,6 +27,18 @@ def test_correlation_fair_coin_example(fair_coin):
     assert correlation(a, a, fair_coin) == {-3: 8}
     assert correlation(b, a, fair_coin) == {-2: 4}
     assert evaluate(correlation(a, a, fair_coin), 1) == 8
+
+
+def test_public_functions_reject_letters_outside_the_alphabet(fair_coin):
+    # correlations trusts its callers' validated words; the public
+    # wrappers check raw Patterns.
+    good = fair_coin.pattern("TH")
+    bad = Pattern((0, 2))
+    for a, b in ((bad, good), (good, bad), (None, bad)):
+        with pytest.raises(PatternError):
+            correlation(a, b, fair_coin)
+    with pytest.raises(PatternError):
+        pattern_prob(bad, fair_coin)
 
 
 def test_correlation_biased_coin():

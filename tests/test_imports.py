@@ -1,6 +1,6 @@
 """Every name a module of the package or of its tests imports is
-referenced in it, and no reference implementation imports a private
-name from the package.
+referenced in it, and neither a reference implementation nor a module
+of the package imports a private name of another package module.
 
 The package's __init__.py is skipped: its imports are re-exports.
 """
@@ -38,13 +38,16 @@ def test_no_unused_imports(path):
     assert not unused
 
 
-@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + REFERENCES, ids=lambda p: p.name)
 def test_references_import_no_private_names(path):
-    """A reference shares no private helper with the code it checks."""
+    """A reference shares no private helper with the code it checks, and
+    a package module keeps its private helpers to itself.  Dunder names
+    such as __version__ are public."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     private = [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
                for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module
-               and node.module.split(".")[0] == "patternrace"
-               for alias in node.names if alias.name.startswith("_")]
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "patternrace")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private

@@ -1,10 +1,16 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from patternrace.algebra import RationalFunc, ipoly_trim
+from patternrace.algebra import (
+    RationalFunc,
+    _exact_quotient,
+    fraction_free_solve,
+    ipoly_trim,
+)
 from patternrace.model import (
     InvalidRaceError,
     RaceProblem,
@@ -15,8 +21,6 @@ from patternrace.oracle import build_automaton, exact_distribution
 from patternrace.serialize import solution_to_obj
 from patternrace.solver import (
     InexactSeriesError,
-    _exact_quotient,
-    fraction_free_solve,
     power_series,
     series,
     solve_race,
@@ -354,19 +358,28 @@ def test_solution_invariants_random():
         assert sol.expected_tau == sol.q_tau(1)
 
 
+def _nonzero_terms(p):
+    return [(e, c) for e, c in enumerate(p) if c]
+
+
 def _check_fraction_free_solve(a, n, det_of):
-    """Runs fraction_free_solve on the n x (n + r) system a.  The
-    elimination does not pivot: if det_of, a reference determinant as a
-    RationalFunc, is zero on a leading principal minor, the solve must
-    raise ZeroDivisionError; otherwise det and every Cramer numerator
-    must equal det_of of A and of A with a column replaced.  Returns
-    whether the system was solved."""
+    """Runs fraction_free_solve on the n x (n + r) system a, of dense
+    int lists, given as nonzero terms.  The elimination does not pivot:
+    if det_of, a reference determinant as a RationalFunc, is zero on a
+    leading principal minor, the solve must raise ZeroDivisionError;
+    otherwise det and every Cramer numerator must equal det_of of A and
+    of A with a column replaced.  Either way the input must be left
+    unchanged.  Returns whether the system was solved."""
+    terms = [[_nonzero_terms(p) for p in row] for row in a]
+    before = copy.deepcopy(terms)
     matrix = [row[:n] for row in a]
     if any(not det_of([row[:k] for row in matrix[:k]]).inum for k in range(1, n + 1)):
         with pytest.raises(ZeroDivisionError):
-            fraction_free_solve(a)
+            fraction_free_solve(terms)
+        assert terms == before
         return False
-    det, ys = fraction_free_solve(a)
+    det, ys = fraction_free_solve(terms)
+    assert terms == before
     assert RationalFunc(tuple(det)) == det_of(matrix)
     assert len(ys) == len(a[0]) - n
     for c, y in enumerate(ys):

@@ -21,6 +21,7 @@ from .serialize import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
     ParseError,
+    input_digest,
     load_problem,
     parse_pattern_spec,
     parse_rational_str,
@@ -67,7 +68,8 @@ def cmd_race(args) -> int:
         raise UsageError("--series horizon must be >= 0")
     if args.digits is not None and not 1 <= args.digits <= MAX_DIGITS:
         raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
-    problem, digest = load_problem(args.input)
+    problem, data = load_problem(args.input)
+    digest = input_digest(data)
     sol = solver_mod.solve_race(problem)
     table = None
     if args.series is not None:

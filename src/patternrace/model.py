@@ -55,6 +55,20 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        # Past sys.get_int_max_str_digits(); Decimal conversion is exact
+        # and not subject to that limit.
+        return str(decimal.Decimal(v))
+
+
+def rational_str(x: Fraction) -> str:
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered symbols with exact positive probabilities summing to 1."""
@@ -74,9 +88,11 @@ class Alphabet:
             raise AlphabetError("duplicate symbol in alphabet")
         for s, p in zip(self.symbols, self.probs):
             if p <= 0:
-                raise AlphabetError(f"probability of {s!r} must be positive, got {p}")
-        if sum(self.probs) != 1:
-            raise AlphabetError(f"probabilities sum to {sum(self.probs)}, not 1")
+                raise AlphabetError(
+                    f"probability of {s!r} must be positive, got {rational_str(p)}")
+        total = sum(self.probs)
+        if total != 1:
+            raise AlphabetError(f"probabilities sum to {rational_str(total)}, not 1")
 
     @property
     def size(self) -> int:

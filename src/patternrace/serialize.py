@@ -3,12 +3,15 @@
 Rationals cross the boundary as strings ("31/6"), never floats, so a
 round-trip reproduces every exact value bit for bit.  Decimal fields are
 presentation only.
+
+load_problem returns the bytes it parsed along with the problem, and
+input_digest hashes them; only race prints that digest, so only race
+loads hashlib.
 """
 
 from __future__ import annotations
 
 import decimal
-import hashlib
 import json
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -24,7 +27,9 @@ from .model import (
     Pattern,
     PatternError,
     RaceProblem,
+    int_str,
     parse_rational,
+    rational_str,
 )
 from .solver import RaceSolution, SeriesTable
 
@@ -36,20 +41,6 @@ MAX_DIGITS = 10_000
 
 class ParseError(ValueError):
     pass
-
-
-def int_str(v: int) -> str:
-    try:
-        return str(v)
-    except ValueError:
-        # Past sys.get_int_max_str_digits(); Decimal conversion is exact
-        # and not subject to that limit.
-        return str(decimal.Decimal(v))
-
-
-def rational_str(x: Fraction) -> str:
-    num = int_str(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def parse_rational_str(text: Union[str, int]) -> Fraction:
@@ -118,10 +109,10 @@ def problem_from_obj(obj) -> RaceProblem:
     return RaceProblem(alphabet=alphabet, patterns=patterns, initial=init_pattern)
 
 
-def load_problem(path: str) -> Tuple[RaceProblem, str]:
-    """The problem in the file at path, and the sha256 hex digest of the
-    bytes it was parsed from.  The file is read once, so a pipe or a
-    file replaced meanwhile cannot give a digest of other bytes."""
+def load_problem(path: str) -> Tuple[RaceProblem, bytes]:
+    """The problem in the file at path, and the bytes it was parsed from.
+    The file is read once, so a digest of those bytes cannot come from a
+    pipe drained meanwhile or a file replaced since."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -131,7 +122,14 @@ def load_problem(path: str) -> Tuple[RaceProblem, str]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8: {e}") from None
-    return parse_problem(text), hashlib.sha256(data).hexdigest()
+    return parse_problem(text), data
+
+
+def input_digest(data: bytes) -> str:
+    """The sha256 hex digest of data, as metadata.input_digest prints it."""
+    # Imported here: hashlib's libcrypto costs megabytes of memory and ms of import.
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

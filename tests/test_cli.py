@@ -578,12 +578,16 @@ def test_parse_rational_past_int_str_digit_limit():
     assert rf_from_obj(rf_to_obj(rf)) == rf
 
 
-@pytest.mark.parametrize("symbol", [["a"], {"a": 1}])
-@pytest.mark.parametrize("argv", [
+# One short job of each subcommand on a problem over the letters a and b.
+EVERY_COMMAND = [
     ["validate"], ["race"], ["simulate", "--reps", "3"],
     ["martingale", "--alpha", "1/2", "--reps", "3"],
     ["correlate", "--a", "b", "--b", "b"],
-])
+]
+
+
+@pytest.mark.parametrize("symbol", [["a"], {"a": 1}])
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_unhashable_symbol_is_parse_error(tmp_path, capsys, symbol, argv):
     path = write_problem(tmp_path, {
         "alphabet": [{"symbol": symbol, "prob": "1/2"},
@@ -591,6 +595,23 @@ def test_unhashable_symbol_is_parse_error(tmp_path, capsys, symbol, argv):
         "patterns": ["b"]})
     assert main([argv[0], path] + argv[1:]) == 3
     assert "symbol must be a non-empty string" in capsys.readouterr().err
+
+
+NINES = "9" * 5000  # past sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("probs, message", [
+    (["-1/" + NINES, "1/2"], "probability of 'a' must be positive, got -1/" + NINES),
+    (["1/" + NINES, "1/2"],
+     "probabilities sum to 1" + "0" * 4999 + "1/1" + "9" * 4999 + "8, not 1"),
+], ids=["negative", "sum"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_bad_alphabet_past_int_str_digit_limit(tmp_path, capsys, probs, message, argv):
+    path = write_problem(tmp_path, {
+        "alphabet": [{"symbol": "a", "prob": probs[0]}, {"symbol": "b", "prob": probs[1]}],
+        "patterns": ["b"]})
+    assert main([argv[0], path] + argv[1:]) == 3
+    assert capsys.readouterr().err == f"parse error: bad alphabet: {message}\n"
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -726,3 +747,27 @@ def test_cli_imports_only_the_standard_library():
     assert "patternrace" in top
     assert top - {"patternrace"} <= sys.stdlib_module_names
     assert parsers == 0
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_only_race_loads_hashlib(tmp_path, argv):
+    """In a fresh process, importing patternrace.cli loads no hashlib,
+    and one main call loads it, with OpenSSL's libcrypto behind
+    _hashlib, only for race's digest."""
+    path = write_problem(tmp_path, {
+        "alphabet": [{"symbol": "a", "prob": "1/2"}, {"symbol": "b", "prob": "1/2"}],
+        "patterns": ["b", "aa"]})
+    program = ("import io, json, sys; before = set(sys.modules); "
+               "import patternrace.cli; imported = set(sys.modules); sys.stdout = io.StringIO(); "
+               f"code = patternrace.cli.main({[argv[0], path] + argv[1:]!r}); "
+               "sys.stdout = sys.__stdout__; "
+               "print(json.dumps([code, sorted(imported - before), "
+               "sorted(set(sys.modules) - imported)]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    code, by_import, by_call = json.loads(run.stdout)
+    assert code == 0
+    hashing = {"hashlib", "_hashlib"}
+    assert not hashing & set(by_import)
+    assert hashing & set(by_call) == (hashing if argv[0] == "race" else set())

@@ -306,10 +306,12 @@ def test_max_steps_below_one_is_usage_error(problem_file, capsys, argv, max_step
 @pytest.mark.parametrize("argv", [
     ["simulate", "--reps", "3"],
     ["martingale", "--alpha", "1/2", "--reps", "3"],
+    ["simulate", "--reps", "5000"],
 ])
 def test_sampling_in_a_fresh_process(problem_file, capsys, argv):
     # A fresh process has seeded no generator from a str before the
     # command runs; Python 3.13 binds random's sha512 only on such a seed.
+    # With 2 or more CPUs, 5,000 replicates run in forked parts.
     argv = [argv[0], problem_file] + argv[1:]
     assert main(argv) == 0
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -749,11 +751,13 @@ def test_cli_imports_only_the_standard_library():
     assert parsers == 0
 
 
-@pytest.mark.parametrize("argv", EVERY_COMMAND)
+@pytest.mark.parametrize("argv", EVERY_COMMAND + [["simulate", "--reps", "5000"]])
 def test_only_race_loads_hashlib(tmp_path, argv):
     """In a fresh process, importing patternrace.cli loads no hashlib,
     and one main call loads it, with OpenSSL's libcrypto behind
-    _hashlib, only for race's digest."""
+    _hashlib, only for race's digest.  Neither loads multiprocessing,
+    concurrent.futures, pickle or subprocess, not even for simulate's
+    forked parts (5,000 replicates split on 2 or more CPUs)."""
     path = write_problem(tmp_path, {
         "alphabet": [{"symbol": "a", "prob": "1/2"}, {"symbol": "b", "prob": "1/2"}],
         "patterns": ["b", "aa"]})
@@ -771,3 +775,5 @@ def test_only_race_loads_hashlib(tmp_path, argv):
     hashing = {"hashlib", "_hashlib"}
     assert not hashing & set(by_import)
     assert hashing & set(by_call) == (hashing if argv[0] == "race" else set())
+    pools = {"multiprocessing", "concurrent.futures", "pickle", "subprocess"}
+    assert not pools & (set(by_import) | set(by_call))

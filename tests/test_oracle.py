@@ -1,8 +1,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import random
 import struct
+import threading
 from fractions import Fraction
 
 import pytest
@@ -364,6 +366,81 @@ def test_monte_carlo_equals_reference_absorbed_start(fair_coin):
             assert r == monte_carlo_reference.monte_carlo(auto, 30, seed, max_steps=max_steps)
             assert r.win_counts[-auto.start - 1] == 30 == r.completed
             assert r.histogram == {0: 30} and r.mean_tau == 0
+
+
+# Three parts of uneven sizes: 2000, 2000 and 2001 replicates.
+SPLIT_REPS = 3 * oracle_mod.MIN_PART_REPS + 1
+
+
+def test_monte_carlo_in_parts_equals_reference(three_way, monkeypatch):
+    auto = build_automaton(three_way)
+    for seed in (0, -1, 10 ** 20):
+        for kwargs in ({"max_steps": 3}, {}):
+            expected = monte_carlo_reference.monte_carlo(auto, SPLIT_REPS, seed, **kwargs)
+            for parts in (1, 2, 3):
+                monkeypatch.setattr(oracle_mod, "_cpus", lambda: parts)
+                assert len(oracle_mod._part_bounds(SPLIT_REPS)) == parts + 1
+                assert monte_carlo(auto, SPLIT_REPS, seed, **kwargs) == expected
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", [None, "child dies", "fork fails"])
+def test_monte_carlo_in_parts_reaps_every_child(three_way, monkeypatch, fault):
+    auto = build_automaton(three_way)
+    expected = monte_carlo_reference.monte_carlo(auto, SPLIT_REPS, 5)
+    monkeypatch.setattr(oracle_mod, "_cpus", lambda: 3)
+    parent, walk = os.getpid(), oracle_mod._walk
+
+    def dying_walk(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return walk(*args)
+
+    def failing_fork():
+        raise OSError("no fork")
+
+    if fault == "child dies":
+        monkeypatch.setattr(oracle_mod, "_walk", dying_walk)
+    elif fault == "fork fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    assert monte_carlo(auto, SPLIT_REPS, 5) == expected
+    assert_no_child_left()
+
+
+def test_monte_carlo_in_parts_kills_children_when_its_own_walk_raises(three_way, monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_cpus", lambda: 3)
+    parent, walk = os.getpid(), oracle_mod._walk
+
+    def walk_raising_here(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return walk(*args)
+
+    monkeypatch.setattr(oracle_mod, "_walk", walk_raising_here)
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo(build_automaton(three_way), SPLIT_REPS, 5)
+    assert_no_child_left()
+
+
+def test_monte_carlo_does_not_fork_with_another_thread_live(three_way, monkeypatch):
+    auto = build_automaton(three_way)
+    expected = monte_carlo_reference.monte_carlo(auto, SPLIT_REPS, 5)
+    monkeypatch.setattr(oracle_mod, "_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a second thread live"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert oracle_mod._part_bounds(SPLIT_REPS) == [0, SPLIT_REPS]
+        assert monte_carlo(auto, SPLIT_REPS, 5) == expected
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_alone_equals_the_validated_one_pattern_race():

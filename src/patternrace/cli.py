@@ -20,6 +20,7 @@ from .model import InvalidRaceError, ValidationReport
 from .serialize import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
+    MAX_SERIES,
     ParseError,
     input_digest,
     load_problem,
@@ -64,8 +65,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_race(args) -> int:
-    if args.series is not None and args.series < 0:
-        raise UsageError("--series horizon must be >= 0")
+    if args.series is not None and not 0 <= args.series <= MAX_SERIES:
+        raise UsageError(f"--series horizon must be between 0 and {MAX_SERIES}")
     if args.digits is not None and not 1 <= args.digits <= MAX_DIGITS:
         raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
     problem, data = load_problem(args.input)
@@ -240,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("race", help="solve a race in closed form")
     p.add_argument("input")
     p.add_argument("--alpha", help="also evaluate the generating functions here")
-    p.add_argument("--series", type=int, help="emit the exact distribution up to N")
+    p.add_argument("--series", type=int,
+                   help=f"emit the exact distribution up to N, 0 to {MAX_SERIES}")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the automaton oracle")
     p.add_argument("--table", action="store_true",

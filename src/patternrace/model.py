@@ -1,14 +1,22 @@
-"""Problem data model: alphabets, patterns, and validated race problems."""
+"""Problem data model: alphabets, patterns, and validated race problems.
+
+Every record here, and in solver and oracle, is a typing.NamedTuple,
+so it is a tuple: iterable, ordered, and equal to a plain tuple of the
+same fields.  Setting a field raises AttributeError, and the repr names
+the fields, as in Pattern(letters=(0, 1)).  Alphabet, Pattern and
+RaceProblem check themselves: each is a public subclass, with no
+__dict__, of a private NamedTuple of its fields, and its __new__ runs
+the checks.  _replace and _make build through tuple.__new__ and skip
+them, so no code but RaceProblem.alone calls them on those three types.
+"""
 
 from __future__ import annotations
 
-import copy
 import decimal
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 # Caps on the number and length of the patterns; the cost of the exact
 # race solve grows with both.
@@ -69,14 +77,18 @@ def rational_str(x: Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered symbols with exact positive probabilities summing to 1."""
-
+class _Alphabet(NamedTuple):
     symbols: tuple
     probs: tuple
 
-    def __post_init__(self):
+
+class Alphabet(_Alphabet):
+    """Ordered symbols with exact positive probabilities summing to 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, symbols: tuple, probs: tuple):
+        self = super().__new__(cls, symbols, probs)
         if not self.symbols:
             raise AlphabetError("alphabet must have at least one symbol")
         if len(self.symbols) != len(self.probs):
@@ -93,6 +105,7 @@ class Alphabet:
         total = sum(self.probs)
         if total != 1:
             raise AlphabetError(f"probabilities sum to {rational_str(total)}, not 1")
+        return self
 
     @property
     def size(self) -> int:
@@ -143,18 +156,27 @@ def make_alphabet(entries: Iterable) -> Alphabet:
     return Alphabet(tuple(symbols), tuple(probs))
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Non-empty sequence of symbol indices into some Alphabet."""
-
+class _Pattern(NamedTuple):
     letters: tuple
 
-    def __post_init__(self):
+
+class Pattern(_Pattern):
+    """Non-empty sequence of symbol indices into some Alphabet.
+
+    len counts the letters, but iterating a Pattern yields its one
+    field, letters.  _make and _replace compare len with the number of
+    fields, so they raise TypeError on a Pattern of two or more letters."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple):
+        self = super().__new__(cls, letters)
         if not self.letters:
             raise PatternError("pattern must be non-empty")
         for i in self.letters:
             if not isinstance(i, int) or i < 0:
                 raise PatternError(f"bad symbol index {i!r}")
+        return self
 
     def __len__(self):
         return len(self.letters)
@@ -184,22 +206,29 @@ def _occurs(needle: tuple, haystack: tuple) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
-@dataclass(frozen=True)
-class RaceProblem:
-    """Alphabet, optional initial pattern, and competing patterns.
-
-    Valid by construction: the constructor runs validate_race and raises
-    InvalidRaceError, carrying the whole report, on any violation, so
-    every engine can take a RaceProblem as checked."""
-
+class _RaceProblem(NamedTuple):
     alphabet: Alphabet
     patterns: tuple
     initial: Optional[Pattern] = None
 
-    def __post_init__(self):
+
+class RaceProblem(_RaceProblem):
+    """Alphabet, optional initial pattern, and competing patterns.
+
+    Valid by construction: the constructor runs validate_race and raises
+    InvalidRaceError, carrying the whole report, on any violation, so
+    every engine can take a RaceProblem as checked.  _replace skips that
+    check; only alone, whose result is valid whenever self is, uses it."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, patterns: tuple,
+                initial: Optional[Pattern] = None):
+        self = super().__new__(cls, alphabet, patterns, initial)
         report = validate_race(self)
         if not report.ok:
             raise InvalidRaceError(report)
+        return self
 
     @property
     def num_patterns(self) -> int:
@@ -209,20 +238,16 @@ class RaceProblem:
         """Pattern k racing alone from the same initial word.  Each of its
         invariants is one this race has already checked, so it is built
         without running validate_race again."""
-        race = copy.copy(self)
-        object.__setattr__(race, "patterns", (self.patterns[k],))
-        return race
+        return self._replace(patterns=(self.patterns[k],))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     indices: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple = ()
 
     @property

@@ -32,7 +32,6 @@ import random
 import threading
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
@@ -50,8 +49,7 @@ class OracleError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PrefixAutomaton:
+class PrefixAutomaton(NamedTuple):
     """Deterministic automaton over proper pattern prefixes.
 
     Transition codes: a value >= 0 indexes the next live state; a value
@@ -212,8 +210,7 @@ def certify(auto: PrefixAutomaton, solution: RaceSolution,
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     reps: int
     seed: int
     max_steps: int
@@ -415,8 +412,7 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # martingale simulation
 
-@dataclass(frozen=True)
-class MartingaleReport:
+class MartingaleReport(NamedTuple):
     alpha: Fraction
     reps: int
     seed: int

@@ -37,6 +37,9 @@ DEFAULT_DIGITS = 12
 # Largest decimal display precision accepted; the decimal context
 # allocates memory in proportion to it.
 MAX_DIGITS = 10_000
+# Largest --series horizon accepted; the printed table grows about as
+# its square (the README gives measured costs at the cap).
+MAX_SERIES = 5_000
 
 
 class ParseError(ValueError):

@@ -14,11 +14,10 @@ without building a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import RationalFunc, fraction_free_solve
 from .correlation import correlations
@@ -40,8 +39,7 @@ class InexactSeriesError(SolverError):
 # ---------------------------------------------------------------------------
 # competing patterns
 
-@dataclass(frozen=True)
-class RaceSolution:
+class RaceSolution(NamedTuple):
     """Closed-form solution of a pattern race."""
 
     q_tau: RationalFunc
@@ -139,8 +137,7 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(NamedTuple):
     """Exact per-step distribution up to a horizon, held as the engines
     compute it: columns[k][n] = d**n * P(tau = n, k wins), an integer,
     with d the lcm of the letter-probability denominators.  columns is

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -86,7 +85,7 @@ def corrupt_solution(sol, which: str):
 
     if which == "g_1":
         g = sol.g_per_pattern
-        return (dataclasses.replace(sol, g_per_pattern=(bump(g[0]),) + g[1:]),
+        return (sol._replace(g_per_pattern=(bump(g[0]),) + g[1:]),
                 len(g[0].inum) - 1)
     rf = getattr(sol, which)
-    return dataclasses.replace(sol, **{which: bump(rf)}), len(rf.inum) - 1
+    return sol._replace(**{which: bump(rf)}), len(rf.inum) - 1

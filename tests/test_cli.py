@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -23,6 +22,7 @@ from patternrace.cli import main
 from patternrace.algebra import RationalFunc
 from patternrace.serialize import (
     MAX_DIGITS,
+    MAX_SERIES,
     parse_problem,
     parse_rational_str,
     rational_str,
@@ -168,7 +168,7 @@ def test_race_oracle_catches_a_corrupted_function(problem_file, capsys, monkeypa
 
 def test_race_oracle_catches_a_wrong_win_probability(problem_file, capsys, monkeypatch):
     sol = solve_race(parse_problem(json.dumps(THREE_WAY)))
-    bad = dataclasses.replace(sol, win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
+    bad = sol._replace(win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
     monkeypatch.setattr(solver_mod, "solve_race", lambda problem: bad)
     assert main(["race", problem_file, "--oracle"]) == 4
     assert capsys.readouterr().err == ("oracle disagreement: win probability of THH: "
@@ -182,8 +182,8 @@ def test_race_oracle_names_a_corrupted_series_entry(problem_file, capsys, monkey
     def bad_series(problem, n, solution=None):
         t = series(problem, n, solution)
         col = t.columns[0]
-        return dataclasses.replace(t, columns=(col[:5] + (col[5] + 1,) + col[6:],)
-                                   + t.columns[1:])
+        return t._replace(columns=(col[:5] + (col[5] + 1,) + col[6:],)
+                          + t.columns[1:])
 
     monkeypatch.setattr(solver_mod, "series", bad_series)
     assert main(["race", problem_file, "--oracle", "--series", "8"]) == 4
@@ -393,6 +393,20 @@ def test_race_digits_bound(problem_file, capsys, digits, code):
     else:
         out = json.loads(capsys.readouterr().out)
         assert len(out["expected_tau_decimal"]) == MAX_DIGITS + 1  # 5.1666...7
+
+
+@pytest.mark.parametrize("horizon", [-1, MAX_SERIES + 1, 10 ** 20])
+def test_race_series_bound(tmp_path, capsys, horizon):
+    # The horizon is checked before the input is read: the file is missing.
+    missing = str(tmp_path / "missing.json")
+    assert main(["race", missing, "--series", str(horizon)]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: --series horizon must be between 0 and {MAX_SERIES}\n"
+
+
+def test_race_series_at_the_cap(problem_file, capsys):
+    assert main(["race", problem_file, "--series", str(MAX_SERIES)]) == 0
+    assert json.loads(capsys.readouterr().out)["series"]["horizon"] == MAX_SERIES
 
 
 @pytest.mark.parametrize("key, value", [("alphabet", 5), ("patterns", "HT")])
@@ -757,7 +771,9 @@ def test_only_race_loads_hashlib(tmp_path, argv):
     and one main call loads it, with OpenSSL's libcrypto behind
     _hashlib, only for race's digest.  Neither loads multiprocessing,
     concurrent.futures, pickle or subprocess, not even for simulate's
-    forked parts (5,000 replicates split on 2 or more CPUs)."""
+    forked parts (5,000 replicates split on 2 or more CPUs).  The
+    import loads neither dataclasses nor inspect: the records are
+    NamedTuples."""
     path = write_problem(tmp_path, {
         "alphabet": [{"symbol": "a", "prob": "1/2"}, {"symbol": "b", "prob": "1/2"}],
         "patterns": ["b", "aa"]})
@@ -774,6 +790,7 @@ def test_only_race_loads_hashlib(tmp_path, argv):
     assert code == 0
     hashing = {"hashlib", "_hashlib"}
     assert not hashing & set(by_import)
+    assert not {"dataclasses", "inspect"} & set(by_import)
     assert hashing & set(by_call) == (hashing if argv[0] == "race" else set())
     pools = {"multiprocessing", "concurrent.futures", "pickle", "subprocess"}
     assert not pools & (set(by_import) | set(by_call))

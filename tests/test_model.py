@@ -9,12 +9,15 @@ from patternrace.model import (
     Pattern,
     PatternError,
     RaceProblem,
+    Violation,
     is_subpattern,
     make_alphabet,
     parse_rational,
     pattern_prob,
     validate_race,
 )
+from patternrace.oracle import build_automaton, martingale_check, monte_carlo
+from patternrace.solver import series, solve_race
 
 
 def test_make_alphabet_fair_coin(fair_coin):
@@ -166,3 +169,41 @@ def test_validate_caps(fair_coin):
     with pytest.raises(InvalidRaceError) as e:
         problem(*many)
     assert [v.code for v in e.value.report.violations] == ["too-many-patterns"]
+
+
+# ---------------------------------------------------------------------------
+# the records are tuples
+
+RECORDS = {
+    "Alphabet": lambda race: race.alphabet,
+    "Pattern": lambda race: race.patterns[0],
+    "RaceProblem": lambda race: race,
+    "RaceSolution": solve_race,
+    "SeriesTable": lambda race: series(race, 4),
+    "PrefixAutomaton": build_automaton,
+    "MonteCarloReport": lambda race: monte_carlo(build_automaton(race), 10),
+    "MartingaleReport": lambda race: martingale_check(race, 0, Fraction(1, 2), 10),
+    "Violation": lambda race: Violation("no-patterns", "at least one competing pattern"),
+    "ValidationReport": validate_race,
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_set(three_way, name):
+    record = RECORDS[name](three_way)
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_records_are_tuples():
+    p = Pattern((0, 1, 0))
+    assert repr(p) == "Pattern(letters=(0, 1, 0))"
+    assert repr(Violation("bad-initial", "initial pattern: x")) == \
+        "Violation(code='bad-initial', message='initial pattern: x', indices=())"
+    assert len(p) == 3
+    assert list(p) == [(0, 1, 0)]
+    assert p == ((0, 1, 0),)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import os
@@ -233,11 +232,11 @@ def test_certify_names_a_corrupted_function(three_way, which, name):
 def test_certify_names_a_wrong_printed_value(three_way):
     sol = solve_race(three_way)
     auto = build_automaton(three_way)
-    bad = dataclasses.replace(sol, win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
+    bad = sol._replace(win_probs=(Fraction(1, 2),) + sol.win_probs[1:])
     why, _ = certify(auto, bad)
     assert (why.quantity, why.index, why.closed_form, why.oracle) == \
         ("win probability of THH", None, Fraction(1, 2), Fraction(5, 12))
-    bad = dataclasses.replace(sol, expected_tau=Fraction(5))
+    bad = sol._replace(expected_tau=Fraction(5))
     why, _ = certify(auto, bad)
     assert (why.quantity, why.oracle) == ("expected_tau", Fraction(31, 6))
 
@@ -249,8 +248,8 @@ def test_certify_names_a_corrupted_series_entry(three_way):
     assert certify(auto, sol) == (None, None)
     table = series(three_way, 8, sol)
     col = table.columns[0]
-    bad = dataclasses.replace(table, columns=(col[:5] + (col[5] + 1,) + col[6:],)
-                              + table.columns[1:])
+    bad = table._replace(columns=(col[:5] + (col[5] + 1,) + col[6:],)
+                         + table.columns[1:])
     # P(tau = 5, THH wins) = 1/16 in the three-way coin race
     assert certify(auto, sol, bad) == (
         None, Disagreement("series per_pattern[0] (THH)", 5, Fraction(3, 32), Fraction(1, 16)))
@@ -553,7 +552,7 @@ def _report_bits(rep):
     """Every field of a MartingaleReport, floats as their IEEE bytes, so
     that NaN equals NaN and 0.0 differs from -0.0."""
     return [struct.pack("<d", v) if isinstance(v, float) else v
-            for v in dataclasses.astuple(rep)]
+            for v in tuple(rep)]
 
 
 def _both(problem, k, alpha, reps, seed, max_steps=None):

@@ -2,32 +2,25 @@
 
 Canonical rational functions, the one field the package computes in,
 and the integer polynomials they are built from, in two forms.  Dense
-int lists are what a RationalFunc stores and prints: clearing, trimming
+int lists are what a RationalFunc takes, stores and prints: trimming
 and gcd.  Lists of nonzero terms are what the race system is solved
 on: fraction_free_solve, the package's one elimination, and
 _exact_quotient, its exact division, which RationalFunc also uses to
-divide by a gcd.  Everything here is exact; no floats.
+divide by a gcd.  Every coefficient is an integer; no floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import List, Sequence, Union
+from math import gcd
+from typing import List, Sequence
 
-Scalar = Union[int, Fraction]
+from .model import rational_str
 
 
 # ---------------------------------------------------------------------------
 # Dense polynomials over Z: int lists, ascending exponents.  The trimmed
 # form has no trailing zeros; the zero polynomial is the empty list.
-
-def clear_denominators(polys: Sequence[Sequence[Scalar]]):
-    """Scale rational coefficient sequences (ints or Fractions) by the lcm
-    l of all their denominators.  Returns the integer lists and l."""
-    l = lcm(*(c.denominator for p in polys for c in p))
-    return [[c.numerator * (l // c.denominator) for c in p] for p in polys], l
-
 
 def ipoly_trim(a: list) -> list:
     while a and a[-1] == 0:
@@ -241,7 +234,7 @@ def _scaled_value(coeffs: tuple, p: int, q: int, k: int) -> int:
 
 
 class RationalFunc:
-    """Ratio of polynomials in alpha, kept in canonical form.
+    """Ratio of integer polynomials in alpha, kept in canonical form.
 
     inum and iden are tuples of ints, ascending exponents, with
     gcd(inum, iden) = 1 as polynomials, no integer above 1 dividing
@@ -251,15 +244,13 @@ class RationalFunc:
 
     __slots__ = ("inum", "iden")
 
-    def __init__(self, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)):
-        """num and den are coefficient sequences of ints or Fractions.
+    def __init__(self, num: Sequence[int], den: Sequence[int] = (1,)):
+        """num and den are sequences of int coefficients.
 
-        Both are cleared to Z[alpha]; they are divided by their primitive
-        gcd only when coprime_mod_p cannot show it is 1, then by their
-        joint integer content, signed so that the leading denominator
-        coefficient is positive."""
-        (num, den), _ = clear_denominators((num, den))
-        num, den = ipoly_trim(num), ipoly_trim(den)
+        They are divided by their primitive gcd only when coprime_mod_p
+        cannot show it is 1, then by their joint integer content, signed
+        so that the leading denominator coefficient is positive."""
+        num, den = ipoly_trim(list(num)), ipoly_trim(list(den))
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
@@ -279,7 +270,7 @@ class RationalFunc:
         self.inum = tuple(num)
         self.iden = tuple(den)
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: Fraction) -> Fraction:
         """The value at alpha = x = p/q: with k the larger degree,
         q**k N(x) / (q**k D(x)), each an integer sum, and one Fraction."""
         x = Fraction(x)
@@ -287,7 +278,7 @@ class RationalFunc:
         k = max(len(self.inum), len(self.iden)) - 1
         d = _scaled_value(self.iden, p, q, k)
         if not d:
-            raise ZeroDivisionError(f"denominator vanishes at alpha = {x}")
+            raise ZeroDivisionError(f"denominator vanishes at alpha = {rational_str(x)}")
         return Fraction(_scaled_value(self.inum, p, q, k), d)
 
     def __eq__(self, other):

@@ -15,6 +15,7 @@ without building a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -24,11 +25,7 @@ from .correlation import correlations
 from .model import RaceProblem
 
 
-class SolverError(RuntimeError):
-    pass
-
-
-class InexactSeriesError(SolverError):
+class InexactSeriesError(RuntimeError):
     """A scaled series coefficient was not an integer.
 
     This signals an internal bug: the scale does not clear the
@@ -76,6 +73,14 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     alpha = 1 values come from the same polynomials evaluated at 1.  No
     pivot is zero: the leading (k+1)-minor is a row scale times det A of
     the valid sub-race B_1..B_k, and mutual-containment makes det A(1) != 0.
+
+    Row 0 reads (1 - alpha) Q + G = 1 for G = g_1 + ... + g_m, so with
+    q_tau = N/D canonical, g_total is (D - (1 - alpha) N)/D, and that pair
+    is canonical too: gcd(D - (1 - alpha) N, D) = gcd(1 - alpha, D) = 1,
+    since D(1) != 0 (Q(1) = E[tau] is finite); a prime dividing every
+    coefficient of both parts would divide every coefficient of D and,
+    by induction from the constant term, of N, so their joint content
+    is 1; and D keeps its sign.
     """
     alphabet, pats = problem.alphabet, problem.patterns
     a = [[[(0, 1), (1, -1)]] + [[(0, 1)]] * (len(pats) + 1)]
@@ -91,13 +96,15 @@ def solve_race(problem: RaceProblem) -> RaceSolution:
     det, (y,) = fraction_free_solve(a)
     det1 = sum(det)
     g_nums = y[1:]
-    total = [sum(g[e] for g in g_nums if e < len(g))
-             for e in range(max(map(len, g_nums)))]
+    q_tau = RationalFunc(y[0], det)
+    n, d = q_tau.inum, q_tau.iden
+    # D - N + alpha N, canonical over D as it stands (see above).
+    g_total = [u - v + w for u, v, w in zip_longest(d, n, (0, *n), fillvalue=0)]
     # The row scaling cancels in every ratio; only the raw alpha = 1
     # determinants need it divided back out.
     return RaceSolution(
-        q_tau=RationalFunc(y[0], det),
-        g_total=RationalFunc(total, det),
+        q_tau=q_tau,
+        g_total=RationalFunc(g_total, d),
         g_per_pattern=tuple(RationalFunc(g, det) for g in g_nums),
         win_probs=tuple(Fraction(sum(g), det1) for g in g_nums),
         expected_tau=Fraction(sum(y[0]), det1),

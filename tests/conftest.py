@@ -14,6 +14,8 @@ from patternrace.model import (
 )
 from patternrace.serialize import parse_rational_str
 
+from rf_field import RF
+
 
 @pytest.fixture
 def fair_coin():
@@ -68,7 +70,7 @@ def random_problem(rng: random.Random, with_initial=None, m=None) -> RaceProblem
 
 def rf_from_obj(obj) -> RationalFunc:
     """The rational function of a {"num": [...], "den": [...]} output object."""
-    return RationalFunc(
+    return RF(
         tuple(parse_rational_str(c) for c in obj["num"]),
         tuple(parse_rational_str(c) for c in obj["den"]),
     )

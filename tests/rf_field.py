@@ -5,7 +5,9 @@ the reference solvers and the identity tests also add, multiply and
 divide them.  RF is a RationalFunc with those operators: each result is
 built from the integer parts of the operands and canonicalised by the
 program's own constructor, so an RF equals the RationalFunc of the same
-function.  An int or Fraction operand is read as a constant.
+function.  An int or Fraction operand is read as a constant.  RF also
+takes Fraction coefficients, which RationalFunc does not: it clears
+them to integers with clear_denominators first.
 
 monic_num and monic_den give the Fraction coefficients of a
 RationalFunc with its denominator made monic, the values the program
@@ -21,8 +23,16 @@ program's sparse elimination; the gcd tests divide with it too.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from patternrace.algebra import RationalFunc, ipoly_trim
+
+
+def clear_denominators(polys):
+    """Scale rational coefficient sequences (ints or Fractions) by the lcm
+    l of all their denominators.  Returns the integer lists and l."""
+    l = lcm(*(c.denominator for p in polys for c in p))
+    return [[c.numerator * (l // c.denominator) for c in p] for p in polys], l
 
 
 def ipoly_mul(a, b) -> list:
@@ -85,6 +95,10 @@ def _as_rf(x):
 
 class RF(RationalFunc):
     __slots__ = ()
+
+    def __init__(self, num, den=(1,)):
+        (num, den), _ = clear_denominators((num, den))
+        super().__init__(num, den)
 
     @classmethod
     def const(cls, c) -> "RF":

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from patternrace import algebra
 from patternrace.algebra import (
     RationalFunc,
-    clear_denominators,
     coprime_mod_p,
     ipoly_trim,
     poly_gcd,
 )
 
-from rf_field import RF, ipoly_exact_div, ipoly_mul, monic_den, monic_num
+from rf_field import RF, clear_denominators, ipoly_exact_div, ipoly_mul, monic_den, monic_num
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12,
@@ -53,14 +52,14 @@ def test_clear_denominators():
 
 
 def rf(num, den=(1,)):
-    return RationalFunc(tuple(Fraction(c) for c in num),
-                        tuple(Fraction(c) for c in den))
+    return RF(tuple(Fraction(c) for c in num),
+              tuple(Fraction(c) for c in den))
 
 
 def test_rf_canonical_form():
     # (2a + 2)/(4a + 4) reduces to 1/2
     f = rf((2, 2), (4, 4))
-    assert f == RationalFunc((Fraction(1, 2),))
+    assert f == RF((Fraction(1, 2),))
     assert (f.inum, f.iden) == ((1,), (2,))
     # the Fraction view has a monic denominator
     g = rf((1,), (0, 2))
@@ -93,7 +92,7 @@ def test_rf_canonicalization_stable(f, g):
     assert monic_den(f)[-1] == 1  # the Fraction view is monic
     # rebuilding from either stored form is the identity
     assert RationalFunc(n, d) == f
-    assert RationalFunc(monic_num(f), monic_den(f)) == f
+    assert RF(monic_num(f), monic_den(f)) == f
     # equal fractions canonicalize structurally equal
     if not g.is_zero():
         (fn, fd, gn), _ = clear_denominators((monic_num(f), monic_den(f), monic_num(g)))
@@ -206,7 +205,7 @@ def test_canonical_pair_equals_prs_reference(prs_calls):
     @given(fraction_pairs())
     def check(pair):
         before = prs_calls[0]
-        f = RationalFunc(*pair)
+        f = RF(*pair)
         assert (f.inum, f.iden) == prs_canonical(*pair)
         if f.inum:
             branches["prs" if prs_calls[0] > before else "mod p"] += 1
@@ -248,8 +247,8 @@ def test_rf_eval_equals_fraction_reference(f, x):
 @given(st.lists(rationals, min_size=1, max_size=4), nonzero_polys, points)
 def test_rf_eval_at_a_pole_raises(num, den, x):
     # den * (q alpha - p) vanishes at x = p/q; the numerator does not.
-    assume(eval_reference(RationalFunc(num), x) != 0)
+    assume(eval_reference(RF(num), x) != 0)
     (den,), _ = clear_denominators((den,))
-    f = RationalFunc(num, ipoly_mul(den, [-x.numerator, x.denominator]))
+    f = RF(num, ipoly_mul(den, [-x.numerator, x.denominator]))
     with pytest.raises(ZeroDivisionError, match=f"denominator vanishes at alpha = {x}$"):
         f(x)

@@ -34,6 +34,7 @@ from patternrace.solver import solve_race
 
 import martingale_reference
 from conftest import corrupt_solution, rf_from_obj
+from rf_field import RF
 
 THREE_WAY = {
     "alphabet": [
@@ -365,10 +366,25 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+NINES = "9" * 5000  # past sys.get_int_max_str_digits()
+
+
+# The three-way race from H, and the race for "a" with P(a) = 1/10**5000,
+# whose pole 10**5000/(10**5000 - 1) prints past the int-to-str limit.
+POLES = [
+    (dict(THREE_WAY, initial="H"), "2"),
+    ({"alphabet": [{"symbol": "a", "prob": "1/1" + "0" * 5000},
+                   {"symbol": "b", "prob": NINES + "/1" + "0" * 5000}],
+      "patterns": ["a"]}, "1" + "0" * 5000 + "/" + NINES),
+]
+
+
 def test_race_alpha_at_pole(tmp_path, capsys):
-    path = write_problem(tmp_path, dict(THREE_WAY, initial="H"))
-    assert main(["race", path, "--alpha", "2"]) == 2
-    assert "pole" in capsys.readouterr().err
+    for number, (problem, alpha) in enumerate(POLES):
+        path = write_problem(tmp_path, problem, f"p{number}.json")
+        assert main(["race", path, "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == f"usage error: --alpha {alpha} is a pole: " \
+                                          f"denominator vanishes at alpha = {alpha}\n"
 
 
 def test_digits_flag_is_the_only_precision_setting(problem_file, capsys, monkeypatch):
@@ -589,8 +605,8 @@ def test_validations_and_automata_per_job(problem_file, capsys, monkeypatch,
 def test_parse_rational_past_int_str_digit_limit():
     for x in (Fraction(10 ** 5000 - 3, 7), Fraction(-7, 10 ** 5000 - 3)):
         assert parse_rational_str(rational_str(x)) == x
-    rf = RationalFunc((Fraction(10 ** 5000 - 3, 7), Fraction(1, 3)),
-                      (Fraction(1), Fraction(-1, 2)))
+    rf = RF((Fraction(10 ** 5000 - 3, 7), Fraction(1, 3)),
+            (Fraction(1), Fraction(-1, 2)))
     assert rf_from_obj(rf_to_obj(rf)) == rf
 
 
@@ -611,9 +627,6 @@ def test_unhashable_symbol_is_parse_error(tmp_path, capsys, symbol, argv):
         "patterns": ["b"]})
     assert main([argv[0], path] + argv[1:]) == 3
     assert "symbol must be a non-empty string" in capsys.readouterr().err
-
-
-NINES = "9" * 5000  # past sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize("probs, message", [

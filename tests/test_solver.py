@@ -40,7 +40,7 @@ from cramer_reference import (
     initial_correlation_vector,
     replace_column,
 )
-from rf_field import RF
+from rf_field import RF, ipoly_mul, ipoly_sub
 from single_reference import ONE_MINUS_ALPHA, laurent_rf, single_Q, single_expected, single_pgf
 
 ONE = RF.one()
@@ -351,6 +351,10 @@ def test_solution_invariants_random():
         for g in sol.g_per_pattern:
             acc = acc + g
         assert acc == sol.g_total
+        # g_total shares q_tau = N/D's denominator: (D - (1 - alpha) N)/D
+        n, d = sol.q_tau.inum, sol.q_tau.iden
+        assert (sol.g_total.inum, sol.g_total.iden) == \
+            (tuple(ipoly_sub(d, ipoly_mul([1, -1], n))), d)
         assert one_minus * sol.q_tau + sol.g_total == ONE
         assert sol.g_total(1) == 1
         assert sum(sol.win_probs) == 1

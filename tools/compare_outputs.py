@@ -29,11 +29,16 @@ copies that repeat its first pattern, put a pattern inside another, put
 the first pattern inside the initial word before its last letter (each
 exit 2, with the validation report on stdout), or add an unknown symbol
 to the initial word (exit 3), and `simulate FILE --reps 0` and
-`martingale FILE --alpha 1` (exit 2): 18 jobs.  Two races past the
+`martingale FILE --alpha 1` (exit 2): 18 jobs.  Four jobs evaluate at
+a pole, which exits 2 with the pole's message on stderr: for each seed,
+`race COPY --alpha W/(W - w)` on a copy of that first race_initial job
+whose one pattern is its first letter, of weight w in a total W, and
+once `race FILE --alpha 2` on the coin race THH, HTH, HHT from the
+initial word H.  Two races past the
 benchmark's sizes, whose systems are mostly zero coefficients, run as
 `race FILE --oracle` and `race FILE --series 64 --oracle`: a 16 x 12
 coin race and a 12 x 24 race on letters 1/6, 1/3, 1/2, each with a
-5-letter initial word, 4 jobs, 2,094 jobs in all.  Each
+5-letter initial word, 4 jobs, 2,098 jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
@@ -58,6 +63,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("race_initial", "race_series", "simulate")
@@ -75,6 +81,10 @@ SECOND_ALPHA = "1/3"
 ABSORBED_SERIES = 8
 # A letter outside every benchmark alphabet.
 UNKNOWN_SYMBOL = "z"
+# The coin race THH, HTH, HHT from H, and a pole of its generating functions.
+COIN_POLE = {"weights": {"H": 1, "T": 1}, "patterns": ["THH", "HTH", "HHT"],
+             "initial": "H"}
+COIN_POLE_ALPHA = "2"
 # Races past the benchmark's sizes, whose systems are mostly zero
 # coefficients: (m, pattern length, letter weights), each with a random
 # 5-letter initial word, drawn from random.Random(f"large:{m}x{length}").
@@ -128,6 +138,22 @@ def invalid_jobs(workloads, job) -> list:
     return jobs
 
 
+def pole_job(workloads, job):
+    """`race COPY --alpha W/(W - w)` on a copy of job's problem whose one
+    pattern is its first letter, of weight w in a total W, and which has
+    no initial word: the generating functions of that race have the
+    denominator 1 - (1 - w/W) alpha, which vanishes there."""
+    problem = job.problem
+    weights = problem["weights"]
+    symbol, w = next(iter(weights.items()))
+    total = sum(weights.values())
+    copy = dict(problem, patterns=[symbol], initial=None)
+    path = f"{job.argv[1][:-len('.json')]}-pole.json"
+    workloads.write_problem(copy, path)
+    return workloads.Job("race", ["race", path, "--alpha", str(Fraction(total, total - w))],
+                         copy)
+
+
 def large_jobs(workloads, directory: str) -> list:
     """`race FILE --oracle` and `race FILE --series 64 --oracle` on each
     of LARGE_RACES."""
@@ -154,8 +180,9 @@ def make_jobs(directory: str) -> list:
     correlate jobs and `race --oracle --series 8` on its absorbed copy;
     for each simulate and martingale job its --max-steps 3 and
     negated-seed runs, and for each martingale job its --alpha 1/3 run;
-    the invalid_jobs of each seed's first race_initial job; then the two
-    past-limit jobs and the large_jobs."""
+    the invalid_jobs and pole_job of each seed's first race_initial job;
+    then the coin race's pole job, the two past-limit jobs and the
+    large_jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -167,6 +194,7 @@ def make_jobs(directory: str) -> list:
                 if name == "race_initial" and index == 0:
                     jobs.extend((name, seed, index, bad)
                                 for bad in invalid_jobs(workloads, pass_jobs[0]))
+                    jobs.append((name, seed, index, pole_job(workloads, pass_jobs[0])))
                 for job in pass_jobs:
                     jobs.append((name, seed, index, job))
                     if job.kind == "race":
@@ -198,6 +226,10 @@ def make_jobs(directory: str) -> list:
                         argv = ["race", copy, "--oracle", "--series", str(ABSORBED_SERIES)]
                         jobs.append((name, seed, index, workloads.Job(
                             "race", argv, absorbed, horizon=ABSORBED_SERIES)))
+    path = os.path.join(directory, "coin-pole.json")
+    workloads.write_problem(COIN_POLE, path)
+    jobs.append(("pole", 0, 0, workloads.Job(
+        "race", ["race", path, "--alpha", COIN_POLE_ALPHA], COIN_POLE)))
     path = os.path.join(directory, "past-limit.json")
     workloads.write_problem(PAST_LIMIT, path)
     for oracle in ([], ["--oracle"]):

@@ -13,14 +13,17 @@ replicate i's letters from random.Random(f"{seed}:{i}") through one
 helper, which reseeds a single generator in place.  That seeding (the
 Mersenne Twister's 624-word initialisation) is the floor of a
 replicate's cost, which the sampling contract fixes; the walk is the
-rest.  Both walk each replicate in the same tight loop, which keeps
-no path: monte_carlo keeps only its stopping step and final code, and
-martingale_check checks each code against its threshold as it steps.
-monte_carlo splits its replicates into contiguous parts, one per CPU
-the process may use, and walks each other part in a forked child; its
-counts are integer sums, so the report does not depend on the split.
-martingale_check walks in one process, in replicate order, because its
-float sums depend on the order.
+rest.  Both walk each replicate in the same tight loop, which keeps no
+path and tallies a replicate only when it stops: monte_carlo its winner
+and stopping step, martingale_check, which checks each code against its
+threshold as it steps, its stopped value.  A replicate truncated at
+max_steps adds to no tally, and every other reported number, such as
+the truncated count or the mean stopping step, is derived from the
+tally once.  monte_carlo splits its replicates into contiguous parts,
+one per CPU the process may use, and walks each other part in a forked
+child; its counts are integer sums, so the report does not depend on
+the split.  martingale_check walks in one process, in replicate order,
+because its float sums depend on the order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import threading
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional
@@ -278,41 +281,37 @@ def _part_bounds(reps: int) -> list:
 
 
 def _walk(auto: PrefixAutomaton, seed: int, max_steps: int, lo: int, hi: int) -> tuple:
-    """(win counts, stopping-step histogram, truncated, sum of the stopping
-    steps) of replicates lo..hi-1 from a live start, as a list, a dict
-    and ints, which marshal carries.
+    """(win counts, stopping-step histogram) of replicates lo..hi-1 from a
+    live start, as a list and a dict, which marshal carries.
 
     Each replicate samples the letter as the first index whose cumulative
     probability exceeds u = draw() (cum ends at 1.0 > u, so one always
-    does) and keeps only the step at which it stopped and the code it
-    stopped at.
+    does) and records only the code it stopped at and the step at which
+    it stopped; a replicate truncated at max_steps records nothing.
     """
     cum = _cumulative(auto.problem.alphabet.probs)
     transitions, start = auto.transitions, auto.start
     wins = [0] * auto.problem.num_patterns
     hist: Counter = Counter()
-    truncated = 0
-    tau_sum = 0
     steps = range(1, max_steps + 1)
     for draw in _replicate_draws(seed, range(lo, hi)):
         code = start
         for tau in steps:
             code = transitions[code][bisect_right(cum, draw())]
             if code < 0:
+                wins[-code - 1] += 1
+                hist[tau] += 1
                 break
-        else:
-            truncated += 1
-            continue
-        wins[-code - 1] += 1
-        hist[tau] += 1
-        tau_sum += tau
-    return wins, dict(hist), truncated, tau_sum
+    return wins, dict(hist)
 
 
 def _fork(walk: Callable[[int, int], tuple], lo: int, hi: int):
     """(pid, read end of its pipe) of a child that sends walk(lo, hi) with
-    marshal and exits, or None when the fork fails."""
-    r, w = os.pipe()
+    marshal and exits, or None when the pipe or the fork fails."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -338,8 +337,8 @@ def _in_parts(walk: Callable[[int, int], tuple], bounds: list) -> list:
     """walk(lo, hi) for each part lo..hi between consecutive bounds.
 
     The first part runs in this process, each other in a forked child.
-    A part whose fork fails, or whose child dies or fails, is walked
-    again here.  Every child is reaped before this returns or raises:
+    A part whose pipe or fork fails, or whose child dies or fails, is
+    walked again here.  Every child is reaped before this returns or raises:
     if this process's own walk raises, its children are killed first.
     """
     parts = list(zip(bounds, bounds[1:]))
@@ -376,7 +375,10 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
 
     The replicates run in the parts of _part_bounds(reps) and their counts
     add up, so the report is the same for every split.  A start already
-    absorbed wins every replicate at tau = 0 without a draw.
+    absorbed wins every replicate at tau = 0 without a draw.  The win
+    counts and the histogram are the whole tally: the completed
+    replicates are the wins, the truncated ones the rest, and mean_tau
+    the histogram's mean.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -385,26 +387,22 @@ def monte_carlo(auto: PrefixAutomaton, reps: int, seed: int = 0,
 
     wins = [0] * auto.problem.num_patterns
     hist: Counter = Counter()
-    truncated = 0
-    tau_sum = 0
     if auto.start < 0:
         wins[-auto.start - 1] = reps
         hist[0] = reps
     else:
         walk = partial(_walk, auto, seed, max_steps)
-        for part_wins, part_hist, part_truncated, part_tau_sum in _in_parts(
-                walk, _part_bounds(reps)):
+        for part_wins, part_hist in _in_parts(walk, _part_bounds(reps)):
             wins = [a + b for a, b in zip(wins, part_wins)]
             hist.update(part_hist)
-            truncated += part_truncated
-            tau_sum += part_tau_sum
-    completed = reps - truncated
-    mean_tau = Fraction(tau_sum, completed) if completed else None
+    completed = sum(wins)
+    mean_tau = (Fraction(sum(t * c for t, c in hist.items()), completed)
+                if completed else None)
     return MonteCarloReport(
         reps=reps, seed=seed, max_steps=max_steps,
         win_counts=tuple(wins),
         win_freqs=tuple(Fraction(w, reps) for w in wins),
-        truncated=truncated, completed=completed,
+        truncated=reps - completed, completed=completed,
         mean_tau=mean_tau, histogram=dict(sorted(hist.items())),
     )
 
@@ -472,7 +470,9 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     Fractions at every step.  Each replicate walks as in monte_carlo,
     checking each code against its threshold as it steps, so it keeps no
     path; a pass spends mostly the per-replicate seeding, the floor the
-    sampling contract fixes.  The automaton is built on
+    sampling contract fixes.  A replicate that stops adds its stopped
+    value to the float sums, in replicate order, and one observation;
+    the truncated replicates are the rest.  The automaton is built on
     problem.alone(pattern_index), which validates nothing again.
     """
     alpha = Fraction(alpha)
@@ -500,18 +500,15 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     # Step s of a path at code c violates the bound iff s <= lo[c].
     lo = [_last_exponent(alpha, (k + bound) / (k + w)) - l for w in weights]
 
-    stopped: Dict[int, float] = {}
-
+    @cache
     def stopped_value(e: int) -> float:
-        if e not in stopped:
-            stopped[e] = float(k - alpha ** e * (k + bb))
-        return stopped[e]
+        return float(k - alpha ** e * (k + bb))
 
     cum = _cumulative(alphabet.probs)
     transitions, start = auto.transitions, auto.start
 
     violations = []
-    truncated = 0
+    n_obs = 0
     total = 0.0
     total_sq = 0.0
 
@@ -526,6 +523,7 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
         for _ in range(reps):
             total += fy
             total_sq += fy * fy
+        n_obs = reps
     else:
         steps = range(1, max_steps + 1)
         for i, draw in enumerate(_replicate_draws(seed, range(reps))):
@@ -535,14 +533,11 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
                 if step <= lo[code]:
                     violations.append((i, step))
                 if code < 0:
+                    fy = stopped_value(l + step)
+                    total += fy
+                    total_sq += fy * fy
+                    n_obs += 1
                     break
-            else:
-                truncated += 1
-                continue
-            fy = stopped_value(l + step)
-            total += fy
-            total_sq += fy * fy
-    n_obs = reps - truncated
 
     if n_obs:
         mean = total / n_obs
@@ -558,5 +553,5 @@ def martingale_check(problem: RaceProblem, pattern_index: int, alpha: Fraction,
     return MartingaleReport(
         alpha=alpha, reps=reps, seed=seed, y0=y0,
         empirical_mean=mean, std_error=se, z_score=z,
-        bound=bound, violations=tuple(violations), truncated=truncated,
+        bound=bound, violations=tuple(violations), truncated=reps - n_obs,
     )

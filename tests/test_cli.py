@@ -226,6 +226,11 @@ def test_race_table_output(problem_file, capsys):
     assert "5/12" in out and "31/6" in out
 
 
+def test_race_table_prints_the_oracle_verdict(problem_file, capsys):
+    assert main(["race", problem_file, "--oracle", "--table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "oracle agreement: True"
+
+
 def test_race_table_honours_digits(problem_file, capsys):
     assert main(["race", problem_file, "--table", "--digits", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -330,6 +335,21 @@ def test_martingale_ok(tmp_path, capsys):
     assert out["violations"] == []
     alpha = Fraction(9, 10)
     assert parse_rational_str(out["y0_exact"]) == (1 - alpha ** 3) / (1 - alpha)
+
+
+@pytest.mark.parametrize("obj, argv, code, message", [
+    (THREE_WAY, ["correlate", "--a", "H", "--b", "H", "--alpha", "0"], 2,
+     "usage error: --alpha must be positive"),
+    (dict(THREE_WAY, patterns=["THH", "HTH"]),
+     ["martingale", "--pattern-index", "2", "--alpha", "1/2", "--reps", "1"], 2,
+     "usage error: --pattern-index out of range 0..1"),
+    (dict(THREE_WAY, alphabet=[{"symbol": "H"}, THREE_WAY["alphabet"][1]]), ["race"], 3,
+     "parse error: alphabet entries need 'symbol' and 'prob'"),
+], ids=["correlate alpha 0", "pattern index out of range", "entry without prob"])
+def test_error_exits_with_one_line(tmp_path, capsys, obj, argv, code, message):
+    path = write_problem(tmp_path, obj)
+    assert main([argv[0], path] + argv[1:]) == code
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_martingale_alpha_must_be_interior(problem_file):

@@ -387,7 +387,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fault", [None, "child dies", "fork fails"])
+@pytest.mark.parametrize("fault", [None, "child dies", "fork fails", "pipe fails"])
 def test_monte_carlo_in_parts_reaps_every_child(three_way, monkeypatch, fault):
     auto = build_automaton(three_way)
     expected = monte_carlo_reference.monte_carlo(auto, SPLIT_REPS, 5)
@@ -402,10 +402,15 @@ def test_monte_carlo_in_parts_reaps_every_child(three_way, monkeypatch, fault):
     def failing_fork():
         raise OSError("no fork")
 
+    def failing_pipe():
+        raise OSError("no pipe")
+
     if fault == "child dies":
         monkeypatch.setattr(oracle_mod, "_walk", dying_walk)
     elif fault == "fork fails":
         monkeypatch.setattr(os, "fork", failing_fork)
+    elif fault == "pipe fails":
+        monkeypatch.setattr(os, "pipe", failing_pipe)
     assert monte_carlo(auto, SPLIT_REPS, 5) == expected
     assert_no_child_left()
 
@@ -604,7 +609,9 @@ def test_martingale_equals_reference_late_lower_threshold(fair_coin, monkeypatch
 
 def test_last_exponent_matches_stepping():
     # Exact powers and their neighbours are where a float estimate of
-    # log(r) / log(alpha) lands on the wrong side of an integer.
+    # log(r) / log(alpha) lands on the wrong side of an integer.  A
+    # neighbour 10**-39 below a power rounds to it as a float, so the
+    # estimate starts one below the answer and is corrected upwards.
     def stepping(alpha, r):
         e = -1
         while alpha ** (e + 1) > r:
@@ -615,5 +622,6 @@ def test_last_exponent_matches_stepping():
                   Fraction(1, 10 ** 9), Fraction(10 ** 9 - 1, 10 ** 9)):
         for e in (0, 1, 2, 5, 17, 40):
             for r in (alpha ** e, alpha ** e * Fraction(10 ** 12 + 1, 10 ** 12),
-                      alpha ** e * Fraction(10 ** 12 - 1, 10 ** 12), Fraction(3, 2)):
+                      alpha ** e * Fraction(10 ** 12 - 1, 10 ** 12),
+                      alpha ** e * (1 - Fraction(1, 10 ** 39)), Fraction(3, 2)):
                 assert oracle_mod._last_exponent(alpha, r) == stepping(alpha, r), (alpha, r)

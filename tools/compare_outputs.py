@@ -24,12 +24,14 @@ once more with --max-steps 3 and once with its --seed S negated as
 and each race_initial job writes a copy of its problem whose initial
 word is its first pattern, which starts absorbed, and runs `race COPY
 --oracle --series 8` on it: 180 jobs.  The first race_initial job of
-each seed also runs six jobs that must fail: `race COPY --oracle` on
+each seed also runs nine jobs that must fail: `race COPY --oracle` on
 copies that repeat its first pattern, put a pattern inside another, put
 the first pattern inside the initial word before its last letter (each
-exit 2, with the validation report on stdout), or add an unknown symbol
-to the initial word (exit 3), and `simulate FILE --reps 0` and
-`martingale FILE --alpha 1` (exit 2): 18 jobs.  Four jobs evaluate at
+exit 2, with the validation report on stdout), add an unknown symbol
+to the initial word, or drop "prob" from the first alphabet entry (each
+exit 3), and `simulate FILE --reps 0`, `martingale FILE --alpha 1`,
+`martingale FILE --pattern-index M` with M its number of patterns, and
+`correlate FILE --alpha 0` (each exit 2): 27 jobs.  Four jobs evaluate at
 a pole, which exits 2 with the pole's message on stderr: for each seed,
 `race COPY --alpha W/(W - w)` on a copy of that first race_initial job
 whose one pattern is its first letter, of weight w in a total W, and
@@ -38,7 +40,7 @@ initial word H.  Two races past the
 benchmark's sizes, whose systems are mostly zero coefficients, run as
 `race FILE --oracle` and `race FILE --series 64 --oracle`: a 16 x 12
 coin race and a 12 x 24 race on letters 1/6, 1/3, 1/2, each with a
-5-letter initial word, 4 jobs, 2,098 jobs in all.  Each
+5-letter initial word, 4 jobs, 2,107 jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
@@ -117,8 +119,8 @@ def invalid_jobs(workloads, job) -> list:
     """Jobs on the problem of a race_initial job that exit 2 or 3: copies
     that repeat a pattern, put a pattern inside another, put one inside
     the initial word before its last letter, or add an unknown symbol to
-    the initial word, and simulate and martingale with a flag out of
-    range."""
+    the initial word, a copy whose first alphabet entry has no "prob",
+    and simulate, martingale and correlate with a flag out of range."""
     path, problem = job.argv[1], job.problem
     pats = problem["patterns"]
     copies = {
@@ -132,9 +134,20 @@ def invalid_jobs(workloads, job) -> list:
         copy_path = f"{path[:-len('.json')]}-{label}.json"
         workloads.write_problem(copy, copy_path)
         jobs.append(workloads.Job("race", ["race", copy_path, "--oracle"], copy))
+    obj = json.loads(read(path))
+    del obj["alphabet"][0]["prob"]
+    copy_path = f"{path[:-len('.json')]}-no-prob.json"
+    with open(copy_path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    jobs.append(workloads.Job("race", ["race", copy_path, "--oracle"], problem))
     jobs.append(workloads.Job("simulate", ["simulate", path, "--reps", "0"], problem))
     jobs.append(workloads.Job(
         "martingale", ["martingale", path, "--alpha", "1", "--reps", "1"], problem))
+    jobs.append(workloads.Job(
+        "martingale", ["martingale", path, "--pattern-index", str(len(pats)),
+                       "--alpha", "1/2", "--reps", "1"], problem))
+    jobs.append(workloads.Job("correlate", ["correlate", path, "--a", pats[0],
+                                            "--b", pats[0], "--alpha", "0"], problem))
     return jobs
 
 

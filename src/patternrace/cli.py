@@ -8,7 +8,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import cache
@@ -28,6 +27,7 @@ from .serialize import (
     parse_rational_str,
     rational_str,
     solution_to_obj,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ class UsageError(ValueError):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
+    write_json(obj, sys.stdout.write)
     sys.stdout.write("\n")
 
 

@@ -15,6 +15,7 @@ import decimal
 import json
 from fractions import Fraction
 from itertools import accumulate, repeat
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import mul
 from typing import Optional, Tuple, Union
@@ -137,6 +138,54 @@ def input_digest(data: bytes) -> str:
 
 # ---------------------------------------------------------------------------
 # result serialization
+
+# A string list goes out this many strings a write, never whole.
+_CHUNK = 64
+# The bytes a JSON string holds unescaped: printable ASCII but '"' and '\\'.
+_PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+# JSON's text for the scalars whose repr is not JSON.
+_JSON_REPR = {"None": "null", "True": "true", "False": "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_json(obj, write, pad: str = "\n") -> None:
+    """Write obj through write exactly as json.dump(obj, fp, indent=2)
+    writes it.  A chunk of a string list that one C-level scan finds
+    free of anything to escape is joined as it stands; any other chunk
+    is escaped string by string."""
+    inner = pad + "  "
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or type(obj) in (bool, int, float):
+        text = repr(obj)
+        write(_JSON_REPR.get(text, text))
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            write_json(value, write, inner)
+        write(pad + "}")
+    else:
+        sep = "," + inner
+        write("[" + inner)
+        if set(map(type, obj)) == {str}:
+            joint = '"' + sep + '"'
+            for at in range(0, len(obj), _CHUNK):
+                chunk = obj[at:at + _CHUNK]
+                raw = "".join(chunk)
+                text = ('"' + joint.join(chunk) + '"'
+                        if raw.isascii() and not raw.encode().translate(None, _PLAIN)
+                        else sep.join(map(encode_basestring_ascii, chunk)))
+                write(sep + text if at else text)
+        else:
+            for i, value in enumerate(obj):
+                write(sep if i else "")
+                write_json(value, write, inner)
+        write(pad + "]")
+
 
 def rf_to_obj(rf: RationalFunc) -> dict:
     """Both coefficient lists of rf with its denominator made monic,

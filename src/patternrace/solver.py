@@ -14,6 +14,7 @@ without building a Fraction.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -130,16 +131,19 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
     e0 = den[0]
     # E_j * d**j for j = 1, 2, ..., nearest term first.
     den = [c * d ** j for j, c in enumerate(den[1:], 1)]
+    # The last len(den) coefficients, newest first, to pair with den.
+    window = deque(maxlen=len(den))
     out: list = []
     scale = 1
     for i in range(n + 1):
         acc = num[i] * scale if i < len(num) else 0
-        acc -= sum(map(mul, den, reversed(out[max(0, i - len(den)):])))
+        acc -= sum(map(mul, den, window))
         c, r = divmod(acc, e0)
         if r:
             raise InexactSeriesError(
                 f"coefficient {i} times {d}**{i} is not an integer")
         out.append(c)
+        window.appendleft(c)
         scale *= d
     return out
 

@@ -28,6 +28,7 @@ from patternrace.serialize import (
     rational_str,
     rf_to_obj,
     scaled_printer,
+    write_json,
     ParseError,
 )
 from patternrace.solver import solve_race
@@ -555,6 +556,70 @@ def test_scaled_printer_past_int_str_digit_limit():
     c = 7 * 10 ** 4600 + 3
     assert show(c, 1500) == rational_str(Fraction(c, 1000 ** 1500))
     assert show(10 ** 4800, 1500) == "1" + "0" * 300
+
+
+def dumps_by_writer(obj) -> str:
+    parts = []
+    write_json(obj, parts.append)
+    return "".join(parts)
+
+
+CHUNK = serialize_mod._CHUNK
+# Strings that need escaping: a quote, a backslash, control characters,
+# DEL, non-ASCII text, a line separator and a lone surrogate.
+ESCAPED = ['"', "\\", "\n\t\x00\x1f", "\x7f", "é", "\u2028", "\ud800", "a\"b\\c"]
+WRITER_CORPUS = [
+    {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, [[1, [2, ()]], (3, (4,))],
+    True, False, None, 0, -7, 10 ** 40, 0.1, -0.0, 1e300, 5e-324,
+    math.nan, math.inf, -math.inf, [math.nan, -math.inf, 2.5],
+    "", "plain", ESCAPED, {s: s for s in ESCAPED},
+    ["1/2", 3, None, "x"], [["a", "b"], ["c"]], ("a", "b"),
+] + [[f"{i}/7" for i in range(n - 1)] + [last]
+     for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1) for last in ("0", '"', "é", "\\")]
+
+
+def random_json(rng: random.Random, depth: int = 0):
+    pick = rng.randrange(9 if depth < 4 else 5)
+    if pick == 0:
+        return rng.choice([None, True, False, math.nan, math.inf, -math.inf, -0.0])
+    if pick == 1:
+        return rng.randint(-10 ** 30, 10 ** 30)
+    if pick == 2:
+        return rng.uniform(-1e6, 1e6)
+    if pick in (3, 4):
+        return "".join(rng.choice(["a", "7", "/", " "] + ESCAPED)
+                       for _ in range(rng.randint(0, 4)))
+    if pick == 5:
+        # A string list around the chunk size, mostly of plain strings.
+        return [rng.choice(["1/3", "42", "-5/8"] * 20 + ESCAPED)
+                for _ in range(rng.randint(0, 3 * CHUNK))]
+    items = [random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if pick == 6:
+        return tuple(items)
+    if pick == 7:
+        return items
+    return {f"k{i}{rng.choice(ESCAPED)}": v for i, v in enumerate(items)}
+
+
+@pytest.mark.parametrize("obj", WRITER_CORPUS)
+def test_write_json_equals_json_dumps(obj):
+    assert dumps_by_writer(obj) == json.dumps(obj, indent=2)
+
+
+def test_write_json_equals_json_dumps_on_random_objects():
+    rng = random.Random("write_json")
+    for _ in range(300):
+        obj = random_json(rng)
+        assert dumps_by_writer(obj) == json.dumps(obj, indent=2)
+
+
+# Fraction(0) is falsy, so it must not print as an empty container.
+@pytest.mark.parametrize("obj", [Fraction(1, 2), Fraction(0), {1, 2}, b"x"])
+def test_write_json_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj)
+    with pytest.raises(TypeError):
+        dumps_by_writer([obj])
 
 
 # ---------------------------------------------------------------------------

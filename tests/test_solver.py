@@ -595,3 +595,24 @@ def test_power_series_wrong_scale_raises():
     for d in (1, 2, 4):
         with pytest.raises(InexactSeriesError):
             power_series(g, 10, d)
+
+
+def test_power_series_short_windows():
+    """A constant denominator leaves the recurrence an empty window, and
+    a horizon below deg D stops before the window fills: both agree with
+    the Fraction recurrence, and a scale that leaves a coefficient
+    non-integer still raises, whether the window is empty or part full."""
+    poly = RationalFunc([3, -1, 0, 7], [1])
+    for n in (0, 2, 6):
+        assert power_series(poly, n, 5) == [
+            5 ** i * c for i, c in enumerate(series_reference.power_series(poly, n))]
+    with pytest.raises(InexactSeriesError):
+        power_series(RationalFunc([1, 1], [2]), 3, 5)
+    # c_1 = 1/3, so 3 scales the first coefficients to integers and 2 does not.
+    rf = RationalFunc([3], [3, -1, 0, 0, 5])
+    for n in range(len(rf.iden) - 1):
+        assert power_series(rf, n, 3) == [
+            3 ** i * c for i, c in enumerate(series_reference.power_series(rf, n))]
+    assert power_series(rf, 0, 2) == [1]
+    with pytest.raises(InexactSeriesError):
+        power_series(rf, 1, 2)

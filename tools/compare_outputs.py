@@ -36,11 +36,16 @@ a pole, which exits 2 with the pole's message on stderr: for each seed,
 `race COPY --alpha W/(W - w)` on a copy of that first race_initial job
 whose one pattern is its first letter, of weight w in a total W, and
 once `race FILE --alpha 2` on the coin race THH, HTH, HHT from the
-initial word H.  Two races past the
+initial word H.  For each seed, that first race_initial job also
+writes copies of its problem whose letters are renamed to '"', '\\',
+U+00E9, U+2028 and a tab, so the writer's escape path is diffed: each
+copy runs as `race COPY --series 8 --oracle`, `validate`, `correlate`
+and `simulate --reps 50`, and `validate` on one more copy exits 3 with
+a parse error that quotes those symbols, 39 jobs.  Two races past the
 benchmark's sizes, whose systems are mostly zero coefficients, run as
 `race FILE --oracle` and `race FILE --series 64 --oracle`: a 16 x 12
 coin race and a 12 x 24 race on letters 1/6, 1/3, 1/2, each with a
-5-letter initial word, 4 jobs, 2,107 jobs in all.  Each
+5-letter initial word, 4 jobs, 2,146 jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
@@ -93,6 +98,11 @@ COIN_POLE_ALPHA = "2"
 LARGE_RACES = ((16, 12, (1, 1)), (12, 24, (1, 2, 3)))
 LARGE_INITIAL = 5
 LARGE_SERIES = 64
+# Symbols that JSON output escapes or that are not ASCII, given in turn
+# to the letters of the escape_jobs copies.
+ESCAPE_SYMBOLS = ('"', "\\", "\u00e9", "\u2028", "\t")
+ESCAPE_SERIES = 8
+ESCAPE_REPS = 50
 
 
 def bench_module(checkout: str, name: str):
@@ -151,6 +161,45 @@ def invalid_jobs(workloads, job) -> list:
     return jobs
 
 
+def escape_jobs(workloads, job) -> list:
+    """Copies of job's problem whose letters are renamed to
+    ESCAPE_SYMBOLS, taken in turn until each names a letter of some
+    copy, each run as `race COPY --series 8 --oracle`, `validate COPY`,
+    `correlate COPY --a INITIAL --b B1 --alpha 9/10` and `simulate COPY
+    --reps 50`; and `validate` on one more copy whose initial word ends
+    with a symbol outside its alphabet, which exits 3 with a message
+    that quotes the renamed initial word and that symbol."""
+    problem, stem = job.problem, job.argv[1][:-len(".json")]
+    letters = list(problem["weights"])
+    jobs = []
+    for start in range(0, len(ESCAPE_SYMBOLS), len(letters)):
+        names = [ESCAPE_SYMBOLS[(start + i) % len(ESCAPE_SYMBOLS)]
+                 for i in range(len(letters))]
+        rename = str.maketrans(dict(zip(letters, names)))
+        copy = {"weights": dict(zip(names, problem["weights"].values())),
+                "patterns": [p.translate(rename) for p in problem["patterns"]],
+                "initial": problem["initial"].translate(rename)}
+        path = f"{stem}-escape{start}.json"
+        workloads.write_problem(copy, path)
+        first = copy["patterns"][0]
+        jobs += [
+            workloads.Job("race", ["race", path, "--series", str(ESCAPE_SERIES),
+                                   "--oracle"], copy, horizon=ESCAPE_SERIES),
+            workloads.Job("validate", ["validate", path], copy),
+            workloads.Job("correlate", ["correlate", path, "--a", copy["initial"],
+                                        "--b", first, "--alpha", ALPHA], copy),
+            workloads.Job("simulate", ["simulate", path, "--reps", str(ESCAPE_REPS)],
+                          copy, reps=ESCAPE_REPS),
+        ]
+        if not start:
+            outside = ESCAPE_SYMBOLS[len(letters) % len(ESCAPE_SYMBOLS)]
+            bad = dict(copy, initial=copy["initial"] + outside)
+            path = f"{stem}-escape-unknown.json"
+            workloads.write_problem(bad, path)
+            jobs.append(workloads.Job("validate", ["validate", path], bad))
+    return jobs
+
+
 def pole_job(workloads, job):
     """`race COPY --alpha W/(W - w)` on a copy of job's problem whose one
     pattern is its first letter, of weight w in a total W, and which has
@@ -193,9 +242,9 @@ def make_jobs(directory: str) -> list:
     correlate jobs and `race --oracle --series 8` on its absorbed copy;
     for each simulate and martingale job its --max-steps 3 and
     negated-seed runs, and for each martingale job its --alpha 1/3 run;
-    the invalid_jobs and pole_job of each seed's first race_initial job;
-    then the coin race's pole job, the two past-limit jobs and the
-    large_jobs."""
+    the invalid_jobs, pole_job and escape_jobs of each seed's first
+    race_initial job; then the coin race's pole job, the two past-limit
+    jobs and the large_jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -208,6 +257,8 @@ def make_jobs(directory: str) -> list:
                     jobs.extend((name, seed, index, bad)
                                 for bad in invalid_jobs(workloads, pass_jobs[0]))
                     jobs.append((name, seed, index, pole_job(workloads, pass_jobs[0])))
+                    jobs.extend((name, seed, index, escaped)
+                                for escaped in escape_jobs(workloads, pass_jobs[0]))
                 for job in pass_jobs:
                     jobs.append((name, seed, index, job))
                     if job.kind == "race":

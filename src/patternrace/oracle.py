@@ -34,10 +34,10 @@ import os
 import random
 import threading
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional
 
@@ -189,14 +189,16 @@ def certify(auto: PrefixAutomaton, solution: RaceSolution,
                                           Fraction(col[i], d ** i), Fraction(dp_col[i], d ** i))
                 break
     powers = list(accumulate(repeat(d, h), mul, initial=1))
-    totals = dp.scaled_totals()
+    totals = list(map(sum, islice(zip(*dp.columns), h + 1)))
     # d**i P(tau > i) = d (d**(i-1) P(tau > i-1)) - totals[i]
     live = list(accumulate([1 - totals[0], *totals[1:]], lambda x, t: x * d - t))
     for (name, f), s in zip(funcs, [live, totals, *dp.columns]):
         num = f.inum
         den = list(map(mul, f.iden, powers))
+        window = deque(maxlen=len(den))
         for i in range(h + 1):
-            r = sum(map(mul, den, reversed(s[max(0, i + 1 - len(den)):i + 1])))
+            window.appendleft(s[i])
+            r = sum(map(mul, den, window))
             r -= num[i] * powers[i] if i < len(num) else 0
             if r:
                 return Disagreement(name, i, Fraction(s[i] * den[0] - r, den[0] * powers[i]),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -202,45 +203,50 @@ def rf_to_obj(rf: RationalFunc) -> dict:
     return {"num": [show(c) for c in rf.inum], "den": [show(c) for c in rf.iden]}
 
 
-# The gcd of a table entry with d**n is first taken against the largest
-# power of d below this: a word-sized operand, so that gcd costs about
-# one pass over the entry.
-_SMALL_POWER = 2 ** 60
+# A round of the table printer takes at most s levels, d**s below this:
+# one CPython digit, so each pass over an entry is short.
+_SMALL_POWER = 2 ** 30
 
 
 def scaled_printer(d: int, horizon: int):
     """A function show(c, n) that prints c / d**n, 0 <= n <= horizon, as
     rational_str prints Fraction(c, d**n), without building the Fraction.
 
-    For k <= n, g = gcd(c, d**k) is already gcd(c, d**n) when c // g is
-    coprime to d: every prime p of d then has v_p(c) = v_p(g) <= k v_p(d).
-    So k starts at min(n, s), with s the largest exponent such that
-    d**s < 2**60, and doubles until that holds or k = n; d, an lcm the
-    user supplies, is never factored.  The denominator strings are cached
-    by value, since many entries share one; the cache lives as long as
-    show.
+    gcd(c, d**n) is divided out of c and d**n in rounds, each of k =
+    min(s, levels left) levels, s >= 1 the largest with d**s < 2**30 (or
+    1): a round divides out h = gcd(c mod d**k, d**k).  It stops when h =
+    1, when no levels are left, or when every prime of d still divides
+    d**k // h, since no prime of d is then left in c.  That test, d |
+    (d**k // h)**e with e the bit length of d, never factors d, an lcm the
+    user supplies, and is cached, as are the denominator strings, for
+    as long as show lives.
     """
     powers = list(accumulate(repeat(d, horizon), mul, initial=1))
-    s = 0
+    s = 1
     while s < horizon and powers[s + 1] < _SMALL_POWER:
         s += 1
+    covers = cache(lambda q: pow(q, d.bit_length(), d) == 0)
     dens = {1: ""}
 
     def show(c: int, n: int) -> str:
         if not c:
             return "0"
-        k = min(n, s)
-        g = gcd(c, powers[k])
-        num = c // g
-        while k < n and gcd(num, d) > 1:
-            k = min(2 * k, n) if k else 1
-            g = gcd(c, powers[k])
-            num = c // g
-        den = powers[n] // g
+        den, left = powers[n], n
+        while left:
+            k = min(left, s)
+            dk = powers[k]
+            h = gcd(c % dk, dk)
+            if h == 1:
+                break
+            c //= h
+            den //= h
+            left -= k
+            if covers(dk // h):
+                break
         tail = dens.get(den)
         if tail is None:
             tail = dens[den] = "/" + int_str(den)
-        return int_str(num) + tail
+        return int_str(c) + tail
 
     return show
 
@@ -248,13 +254,14 @@ def scaled_printer(d: int, horizon: int):
 def series_to_obj(table: SeriesTable) -> dict:
     """The table printed straight from its scaled integers."""
     show = scaled_printer(table.d, table.horizon)
+    totals = table.scaled_totals()
     return {
         "horizon": table.horizon,
         "per_pattern": [
             [show(c, n) for n, c in enumerate(col)] for col in table.columns
         ],
-        "totals": [show(c, n) for n, c in enumerate(table.scaled_totals())],
-        "tail_mass": show(table.scaled_tail(), table.horizon),
+        "totals": [show(c, n) for n, c in enumerate(totals)],
+        "tail_mass": show(table.scaled_tail(totals), table.horizon),
     }
 
 

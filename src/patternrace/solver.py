@@ -127,16 +127,15 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
     recurrence E_0 C_i = d**i N_i - sum_j E_j d**j C_(i-j) runs on ints
     with one exact division per coefficient.
     """
-    num, den = rf.inum, rf.iden
-    e0 = den[0]
+    num = [c * d ** i for i, c in enumerate(rf.inum)]
+    e0 = rf.iden[0]
     # E_j * d**j for j = 1, 2, ..., nearest term first.
-    den = [c * d ** j for j, c in enumerate(den[1:], 1)]
+    den = [c * d ** j for j, c in enumerate(rf.iden[1:], 1)]
     # The last len(den) coefficients, newest first, to pair with den.
     window = deque(maxlen=len(den))
     out: list = []
-    scale = 1
     for i in range(n + 1):
-        acc = num[i] * scale if i < len(num) else 0
+        acc = num[i] if i < len(num) else 0
         acc -= sum(map(mul, den, window))
         c, r = divmod(acc, e0)
         if r:
@@ -144,7 +143,6 @@ def power_series(rf: RationalFunc, n: int, d: int) -> list:
                 f"coefficient {i} times {d}**{i} is not an integer")
         out.append(c)
         window.appendleft(c)
-        scale *= d
     return out
 
 
@@ -167,11 +165,12 @@ class SeriesTable(NamedTuple):
         """d**n * P(tau = n) for n = 0..horizon."""
         return [sum(row) for row in zip(*self.columns)]
 
-    def scaled_tail(self) -> int:
-        """d**horizon * P(tau > horizon), derived from the columns."""
+    def scaled_tail(self, totals: Optional[list] = None) -> int:
+        """d**horizon * P(tau > horizon), derived from the columns, or from
+        totals, which must be scaled_totals()."""
         # sum_n totals[n] * d**(horizon - n), by Horner's rule
         absorbed = 0
-        for t in self.scaled_totals():
+        for t in self.scaled_totals() if totals is None else totals:
             absorbed = absorbed * self.d + t
         return self.d ** self.horizon - absorbed
 

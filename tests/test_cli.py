@@ -481,43 +481,83 @@ def test_rational_str_past_int_str_digit_limit():
     assert rational_str(Fraction(-n, 2)) == f"-{digits}/2"
 
 
-# d**s < 2**60 <= d**(s+1) for each d; 1 and the two large moduli give
-# s = horizon and s = 0.
-PRINTER_MODULI = [1, 2, 6, 9, 12, 1000, 2 ** 61 - 1, (2 ** 89 - 1) * (2 ** 107 - 1)]
+# Each modulus d with its primes.  A round of the printer divides out at
+# most s levels, s >= 1 the largest with d**s < 2**30; 1 gives s = horizon,
+# 2**30 and the larger moduli give s = 1.
+M89, M107 = 2 ** 89 - 1, 2 ** 107 - 1
+PRINTER_MODULI = {1: (), 2: (2,), 4: (2,), 6: (2, 3), 8: (2,), 9: (3,), 12: (2, 3),
+                  36: (2, 3), 1000: (2, 5), 6 ** 12: (2, 3), 2 ** 30: (2,), 2 ** 31: (2,),
+                  2 ** 61 - 1: (2 ** 61 - 1,), M89 * M107: (M89, M107)}
+
+
+def valuation(p: int, x: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def printer_rounds(c: int, n: int, d: int, s: int) -> int:
+    """The rounds the printer takes on c / d**n, from the valuations of c
+    and d: round r, after K = min((r - 1) s, n) levels and before K' =
+    min(r s, n), is the last when no prime of d is left in c after K
+    levels, when K' = n, or when every prime of d is gone within K'."""
+    if not c or not n:
+        return 0
+    v = [(valuation(p, c), valuation(p, d)) for p in PRINTER_MODULI[d]]
+    r = 1
+    while not (all(vc <= (r - 1) * s * vd for vc, vd in v) or r * s >= n
+               or all(vc < r * s * vd for vc, vd in v)):
+        r += 1
+    return r
 
 
 @pytest.mark.parametrize("d", PRINTER_MODULI)
 def test_scaled_printer_equals_rational_str(d, monkeypatch):
+    primes = PRINTER_MODULI[d]
+    assert math.prod(p ** valuation(p, d) for p in primes) == d
     horizon = 80
-    s = next((k for k in range(horizon + 1) if d ** (k + 1) >= 2 ** 60), horizon)
-    calls = 0
+    s = max(1, next((k for k in range(horizon + 1) if d ** (k + 1) >= 2 ** 30), horizon))
+    rounds = 0
 
     def counting_gcd(a, b):
-        nonlocal calls
-        calls += 1
+        nonlocal rounds
+        rounds += 1
         return math.gcd(a, b)
 
+    # A round takes one gcd, and nothing else in the printer does.
     monkeypatch.setattr(serialize_mod, "gcd", counting_gcd)
     show = scaled_printer(d, horizon)
     rng = random.Random(f"printer:{d}")
     cases = [(0, n) for n in (0, s, horizon)]
     cases += [(rng.getrandbits(rng.randint(1, 2000)), rng.randint(0, horizon))
               for _ in range(200)]
-    # C = d**k * u with k > s: gcd(C, d**s) leaves a factor shared with d,
-    # and k up to the horizon makes the fallback double its exponent
+    # C = d**k * u with k > s: gcd(C, d**s) leaves a factor shared with d
     cases += [(d ** k * rng.randint(1, 10 ** 6), rng.randint(k - 1, horizon))
               for k in (rng.randint(s + 1, horizon) for _ in range(100) if s < horizon)]
-    fallbacks = 0
+    # C = p**j * u for each prime p of d, with j up to three times
+    # v_p(d**n), and with the other primes' powers mixed in
+    for p in primes:
+        for _ in range(150):
+            n = rng.randint(0, horizon)
+            c = p ** rng.randint(0, 3 * n * valuation(p, d) + 1) * rng.randint(1, 10 ** 6)
+            if rng.random() < 0.5:
+                c *= math.prod(q ** rng.randint(0, n * valuation(q, d)) for q in primes)
+            cases.append((c, n))
+    most = 0
     for c, n in cases:
-        before = calls
+        rounds = 0
         assert show(c, n) == rational_str(Fraction(c, d ** n))
-        # Past d**s one gcd checks the cofactor; only the fallback, a gcd
-        # with a higher power of d, takes more.
-        full = c and n > s and math.gcd(c // math.gcd(c, d ** s), d) > 1
-        used = calls - before
-        assert used >= 3 if full else used == (0 if not c else 1 if n <= s else 2)
-        fallbacks += bool(full)
-    assert fallbacks > 0 if s < horizon else fallbacks == 0
+        # One round when the first already finds no common factor; never
+        # more than ceil(n / s), since every round but the last takes s levels.
+        if c and n and math.gcd(c, d ** min(n, s)) == 1:
+            assert rounds == 1
+        assert rounds <= -(-n // s)
+        assert rounds == printer_rounds(c, n, d, s)
+        most = max(most, rounds)
+    # The multi-round path runs wherever a round cannot take every level.
+    assert most > 1 if s < horizon else most <= 1
 
 
 INT_LIMIT = sys.get_int_max_str_digits()

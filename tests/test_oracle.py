@@ -241,6 +241,35 @@ def test_certify_names_a_wrong_printed_value(three_way):
     assert (why.quantity, why.oracle) == ("expected_tau", Fraction(31, 6))
 
 
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("k", [0, 1])
+def test_certify_checks_every_index_of_its_window(three_way, monkeypatch, k, last):
+    # DP column k gains 1 at index 0 or at h, the last index certify
+    # reads, and column k + 1 loses it: the totals and the live mass are
+    # unchanged, so q_tau and g_total still agree, and g_(k+1) is named.
+    sol = solve_race(three_way)
+    auto = build_automaton(three_way)
+    funcs = (sol.q_tau, sol.g_total, *sol.g_per_pattern)
+    h = len(auto.states) - 1 + max(len(c) for f in funcs for c in (f.inum, f.iden))
+    i = h if last else 0
+    dp = exact_distribution
+
+    def wrong_dp(a, n):
+        t = dp(a, n)
+        assert n == h
+        cols = [list(col) for col in t.columns]
+        cols[k][i] += 1
+        cols[k + 1][i] -= 1
+        return t._replace(columns=tuple(map(tuple, cols)))
+
+    monkeypatch.setattr(oracle_mod, "exact_distribution", wrong_dp)
+    right = dp(auto, h).columns[k][i]
+    pattern = ("THH", "HTH")[k]
+    assert certify(auto, sol) == (Disagreement(
+        f"g_{k + 1} ({pattern})", i, Fraction(right, 2 ** i), Fraction(right + 1, 2 ** i)),
+        None)
+
+
 def test_certify_names_a_corrupted_series_entry(three_way):
     # Every function is certified, so only the table comparison sees it.
     sol = solve_race(three_way)

@@ -45,7 +45,12 @@ a parse error that quotes those symbols, 39 jobs.  Two races past the
 benchmark's sizes, whose systems are mostly zero coefficients, run as
 `race FILE --oracle` and `race FILE --series 64 --oracle`: a 16 x 12
 coin race and a 12 x 24 race on letters 1/6, 1/3, 1/2, each with a
-5-letter initial word, 4 jobs, 2,146 jobs in all.  Each
+5-letter initial word, 4 jobs.  Two jobs print long tables whose
+entries share many factors with d, so the printer divides out gcd(C,
+d**n) in several rounds: `race FILE --series 1500 --oracle` on the
+README's 4 x 3 race on letters 1/2, 1/3, 1/6 from the initial word c
+(d = 6), and on a 4-pattern race on letters 2/9, 1/3, 4/9 (d = 9), 2,148
+jobs in all.  Each
 checkout runs all jobs in one worker process with its own
 bench/run.py: load_program imports patternrace.cli from that
 checkout's src, and run_job calls it in-process with stdout captured,
@@ -98,6 +103,16 @@ COIN_POLE_ALPHA = "2"
 LARGE_RACES = ((16, 12, (1, 1)), (12, 24, (1, 2, 3)))
 LARGE_INITIAL = 5
 LARGE_SERIES = 64
+# Races whose table entries share ever more factors with d as n grows:
+# the README's 4 x 3 race from c, and one drawn from
+# random.Random("composite:4x7") with the race_series slot (4, 4, 7).
+COMPOSITE_RACES = (
+    {"weights": {"a": 3, "b": 2, "c": 1}, "patterns": ["bab", "bbb", "cac", "baa"],
+     "initial": "c"},
+    {"weights": {"a": 2, "b": 3, "c": 4},
+     "patterns": ["babbbab", "ccabcbc", "abaa", "cabac"], "initial": None},
+)
+COMPOSITE_SERIES = 1500
 # Symbols that JSON output escapes or that are not ASCII, given in turn
 # to the letters of the escape_jobs copies.
 ESCAPE_SYMBOLS = ('"', "\\", "\u00e9", "\u2028", "\t")
@@ -244,7 +259,7 @@ def make_jobs(directory: str) -> list:
     negated-seed runs, and for each martingale job its --alpha 1/3 run;
     the invalid_jobs, pole_job and escape_jobs of each seed's first
     race_initial job; then the coin race's pole job, the two past-limit
-    jobs and the large_jobs."""
+    jobs, the large_jobs and the COMPOSITE_RACES jobs."""
     workloads = bench_module(ROOT, "workloads")
     jobs = []
     for name in WORKLOADS:
@@ -301,6 +316,12 @@ def make_jobs(directory: str) -> list:
         jobs.append(("past_limit", 0, 0, workloads.Job("race", argv, PAST_LIMIT,
                                                        horizon=PAST_LIMIT_HORIZON)))
     jobs.extend(("large", 0, 0, job) for job in large_jobs(workloads, directory))
+    for number, problem in enumerate(COMPOSITE_RACES):
+        path = os.path.join(directory, f"composite-{number}.json")
+        workloads.write_problem(problem, path)
+        argv = ["race", path, "--series", str(COMPOSITE_SERIES), "--oracle"]
+        jobs.append(("composite", 0, 0, workloads.Job("race", argv, problem,
+                                                      horizon=COMPOSITE_SERIES)))
     return jobs
 
 
